@@ -6,6 +6,7 @@ Exit codes
     1   malformed input file or bad override
     2   allocate produced a strategy the equilibrium oracle rejects
     3   simulation ended in energy depletion
+    4   simulation ended in total deadlock: no robot can move again
 
 All outputs are written to a temp file and renamed into place, so a
 crash never leaves a partial artifact behind.
@@ -31,7 +32,7 @@ from .allocation import (
     allocate,
 )
 from .scenarios import ScenarioError, builtin_scenario, from_mapping, load_scenario, to_mapping
-from .sim import ENERGY_DEPLETED, run
+from .sim import DEADLOCKED, ENERGY_DEPLETED, run
 
 __all__ = ["main", "CampaignSummary", "summarize_runs"]
 
@@ -209,7 +210,7 @@ def cmd_sim(args) -> int:
         print(f"deadlock robot-steps {metrics.deadlock_robot_steps} ({rate:.3%})")
     if metrics.failure:
         print(f"FAILURE: {metrics.failure}", file=sys.stderr)
-        return 3 if metrics.failure == ENERGY_DEPLETED else 1
+        return {ENERGY_DEPLETED: 3, DEADLOCKED: 4}.get(metrics.failure, 1)
     return 0
 
 

@@ -12,6 +12,31 @@ Determinism: every random draw comes from a named stream seeded as
 "{seed}/{purpose}" or "{seed}/{purpose}/{robot id}", and all per-robot
 loops run in robot-id order, so a (scenario, seed) pair fully fixes the
 run down to the last bit.
+
+Spatial queries are x-sorted sweeps (sort and sweep, as in the
+I-COLLIDE broad phase).  Points are sorted by x; each point scans
+forward and stops once the x gap alone rules a pair out, so a step
+costs about n log n plus the pairs that overlap in x instead of n^2.
+Two sweeps run per step:
+
+- Neighbour lists on pre-move positions.  The stop test is
+  dx*dx > cutoff^2, which implies dx*dx + dy*dy > cutoff^2 in floating
+  point too.  Each list is sorted back into ascending robot id, the
+  order an all-pairs loop gives, because the filter enumerates
+  candidate vertices in neighbour order and ties between equally near
+  candidates go to the first one.
+- `min_dist` on post-move positions.  The sweep keeps the smallest
+  squared distance found so far and stops once dx**2 alone reaches it.
+  Every pair it does evaluate uses the same expression as an all-pairs
+  loop, and every pair it skips is no smaller, so the minimum is the
+  same float.
+
+Total deadlock ends a run: when every live robot is flagged deadlocked
+in one step, `world.failure` becomes DEADLOCKED.  A robot deadlocks
+when its CBF rows admit no velocity, and those rows depend only on
+positions; a deadlocked robot stands still, so once all of them do,
+every later step repeats this one.  Only a pending robot_removal event
+can change the rows, so the rule waits while one is due.
 """
 
 from __future__ import annotations
@@ -34,6 +59,7 @@ __all__ = [
     "TRAVEL_TO_NODE",
     "SERVICE_NODE",
     "ENERGY_DEPLETED",
+    "DEADLOCKED",
     "RobotState",
     "WorldState",
     "RunMetrics",
@@ -41,6 +67,8 @@ __all__ = [
     "robot_energy_step",
     "node_information_step",
     "random_walk_step",
+    "neighbor_indices",
+    "min_pair_distance",
     "build_world",
     "step",
     "run",
@@ -56,6 +84,7 @@ TRAVEL_TO_NODE = "TravelToNode"
 SERVICE_NODE = "ServiceNode"
 
 ENERGY_DEPLETED = "EnergyDepleted"
+DEADLOCKED = "Deadlocked"
 
 # motion drain sits an order of magnitude below the colony leakage rate
 MOTION_DRAIN_FACTOR = 0.1
@@ -222,6 +251,58 @@ def random_walk_step(robot: RobotState, h: float, domain: tuple,
 
 
 # ---------------------------------------------------------------------------
+# spatial queries: x-sorted sweeps
+
+
+def neighbor_indices(points: list, cutoff_sq: float) -> list:
+    """For each point, the indices of the others within the cutoff.
+
+    A pair is in when dx*dx + dy*dy <= cutoff_sq.  Each list is in
+    ascending index order, the order an all-pairs loop would give.
+    """
+    n = len(points)
+    order = sorted(range(n), key=points.__getitem__)
+    lists = [[] for _ in range(n)]
+    for a in range(n):
+        i = order[a]
+        xi, yi = points[i]
+        for b in range(a + 1, n):
+            j = order[b]
+            xj, yj = points[j]
+            dx = xi - xj
+            dxx = dx * dx
+            if dxx > cutoff_sq:
+                break
+            dy = yi - yj
+            if dxx + dy * dy <= cutoff_sq:
+                lists[i].append(j)
+                lists[j].append(i)
+    for nbrs in lists:
+        nbrs.sort()
+    return lists
+
+
+def min_pair_distance(points: list) -> float:
+    """Smallest distance between two of the points; inf below two points."""
+    n = len(points)
+    if n < 2:
+        return math.inf
+    ordered = sorted(points)
+    best = math.inf
+    for a in range(n):
+        xi, yi = ordered[a]
+        for b in range(a + 1, n):
+            xj, yj = ordered[b]
+            dxx = (xi - xj) ** 2
+            if dxx >= best:
+                break
+            dd = dxx + (yi - yj) ** 2
+            if dd < best:
+                best = dd
+    return math.sqrt(best)
+
+
+# ---------------------------------------------------------------------------
 # orchestration
 
 
@@ -288,29 +369,19 @@ def step(world: WorldState, config: ScenarioConfig, dt: float) -> WorldState:
     # 4r is enough at colony speeds; the second term keeps a closing
     # pair from crossing the whole cutoff in one step at higher v_max
     cutoff = max(4.0 * config.r, 2.0 * config.v_max * dt + 2.0 * config.r)
-    cutoff_sq = cutoff * cutoff
-    neighbor_lists = [[] for _ in range(n)]
-    for i in range(n):
-        xi, yi = positions[i]
-        for j in range(i + 1, n):
-            dx = xi - positions[j][0]
-            dy = yi - positions[j][1]
-            if dx * dx + dy * dy <= cutoff_sq:
-                neighbor_lists[i].append(positions[j])
-                neighbor_lists[j].append(positions[i])
+    neighbors = neighbor_indices(positions, cutoff * cutoff)
 
     center = dyn.domain_center
     radius = dyn.domain_radius
-    any_deadlock = False
     for i, robot in enumerate(world.robots):
         qp = VelocityQP(
             v_refs[i],
             (robot.x - center[0], robot.y - center[1]),
-            [(nx - center[0], ny - center[1]) for nx, ny in neighbor_lists[i]],
+            [(positions[j][0] - center[0], positions[j][1] - center[1])
+             for j in neighbors[i]],
             config.v_max, config.r, radius, config.alpha, config.alpha_c)
         (vx, vy), deadlock = filter_velocity(qp)
         robot.deadlock = deadlock
-        any_deadlock = any_deadlock or deadlock
         robot.x += vx * dt
         robot.y += vy * dt
         dyn.post_move(world, robot, math.hypot(vx, vy), dt)
@@ -320,26 +391,23 @@ def step(world: WorldState, config: ScenarioConfig, dt: float) -> WorldState:
     dyn.check_conservation(world)
     dyn.check_failure(world)
 
+    deadlocked = sum(1 for r in world.robots if r.deadlock)
+    # total deadlock is permanent until a removal (module docstring)
+    if (world.failure is None and n and deadlocked == n
+            and not any(e.kind == "robot_removal" for _, _, e in world.pending_events)):
+        world.failure = DEADLOCKED
+
     metrics = world.metrics
     metrics.robot_steps += n
-    metrics.deadlock_robot_steps += sum(1 for r in world.robots if r.deadlock)
-    metrics.deadlock_flags.append(any_deadlock)
+    metrics.deadlock_robot_steps += deadlocked
+    metrics.deadlock_flags.append(deadlocked > 0)
 
     counts = [0] * (config.n_tasks + 1)
     for robot in world.robots:
         counts[robot.assigned_task] += 1
     # measured on post-move positions: this is the separation that was
     # actually executed this step
-    min_dist = math.inf
-    if n > 1:
-        post = [(r.x, r.y) for r in world.robots]
-        min_sq = math.inf
-        for i in range(n):
-            for j in range(i + 1, n):
-                dd = ((post[i][0] - post[j][0]) ** 2 + (post[i][1] - post[j][1]) ** 2)
-                if dd < min_sq:
-                    min_sq = dd
-        min_dist = math.sqrt(min_sq)
+    min_dist = min_pair_distance([(r.x, r.y) for r in world.robots])
     metrics.rows.append(dyn.metrics_row(world, counts, min_dist))
     return world
 

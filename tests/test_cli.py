@@ -118,6 +118,17 @@ def test_sim_energy_depletion_exits_3(tmp_path, capsys):
     assert float(rows[-1][1]) <= 0.0
 
 
+def test_sim_total_deadlock_exits_4(tmp_path, capsys):
+    # twelve parking slots on the 0.3 m idle ring sit 0.155 m apart, well
+    # inside the CBF standoff: every robot deadlocks on the first step
+    out = tmp_path / "stuck.csv"
+    code = main(["sim", "--scenario", "monitoring", "--set", "n_robots=12",
+                 "--t-final", "50", "--out", str(out)])
+    assert code == 4
+    assert "FAILURE: Deadlocked" in capsys.readouterr().err
+    assert len(read_csv(out)) == 2
+
+
 def test_sim_unknown_scenario_exits_1(tmp_path, capsys):
     assert main(["sim", "--scenario", "warehouse",
                  "--out", str(tmp_path / "x.csv")]) == 1
@@ -245,6 +256,15 @@ def test_montecarlo_singleton_matches_single_run(tmp_path):
     summary = parse_summary_csv(out / "summary.csv")
     assert summary.runs == 1
     assert sum(c for _, c in summary.energy_histogram) == 1
+
+
+def test_montecarlo_records_total_deadlock(tmp_path):
+    out = tmp_path / "camp"
+    assert main(["montecarlo", "--scenario", "monitoring", "--set", "n_robots=12",
+                 "--t-final", "50", "--runs", "1", "--jobs", "1",
+                 "--out", str(out)]) == 0
+    runs = parse_runs_csv(out / "runs.csv")
+    assert [(r["failure"], r["steps"]) for r in runs] == [("Deadlocked", 1)]
 
 
 def test_montecarlo_rejects_zero_runs(tmp_path):

@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from swarmgames.scenarios import colony_default, monitoring_default
+from swarmgames.scenarios import Event, colony_default, monitoring_default
 from swarmgames.sim import (
+    DEADLOCKED,
     IDLE_AT_BASE,
     RETURN_HOME,
     RobotState,
@@ -275,3 +276,25 @@ def test_min_distance_column_respects_radius():
     for row, flagged in zip(metrics.rows, metrics.deadlock_flags):
         if not flagged:
             assert row[-1] >= floor
+
+
+def _jammed_monitoring(**changes):
+    # twelve idle-ring slots 0.155 m apart: every robot deadlocks at once
+    return dataclasses.replace(monitoring_default(), n_robots=12, t_final=5.0, **changes)
+
+
+def test_total_deadlock_fails_the_run():
+    metrics = run(_jammed_monitoring(), seed=0)
+    assert metrics.failure == DEADLOCKED
+    assert len(metrics.rows) == 1
+    assert metrics.deadlock_robot_steps == metrics.robot_steps == 12
+
+
+def test_total_deadlock_waits_for_a_pending_removal():
+    removal = Event(time=1.0, kind="robot_removal", amount=11)
+    metrics = run(_jammed_monitoring(events=(removal,)), seed=0)
+    # the lone survivor is free to move once the removal fires at step 10
+    assert metrics.failure is None
+    assert len(metrics.rows) == 50
+    assert metrics.deadlock_flags[:10] == [True] * 10
+    assert not any(metrics.deadlock_flags[10:])
