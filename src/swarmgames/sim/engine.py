@@ -293,6 +293,8 @@ def min_pair_distance(points: list) -> float:
         xi, yi = ordered[a]
         for b in range(a + 1, n):
             xj, yj = ordered[b]
+            # `** 2`, not a product: the two can differ in the last bit,
+            # and the min_dist column has always been computed with pow
             dxx = (xi - xj) ** 2
             if dxx >= best:
                 break
