@@ -17,10 +17,7 @@ from .allocation import (
     expected_utility,
     sample_assignment,
     signal_range,
-    solve_hetero_idle,
-    solve_hetero_noidle,
     solve_homogeneous_idle,
-    solve_homogeneous_noidle,
     verify_equilibrium,
 )
 from .linalg import SingularSystem, solve_linear
@@ -38,10 +35,7 @@ __all__ = [
     "expected_utility",
     "sample_assignment",
     "signal_range",
-    "solve_hetero_idle",
-    "solve_hetero_noidle",
     "solve_homogeneous_idle",
-    "solve_homogeneous_noidle",
     "solve_linear",
     "verify_equilibrium",
 ]

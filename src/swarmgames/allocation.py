@@ -15,9 +15,18 @@ expected heads on the task, while idling pays exactly zero.  A strategy
 matrix is an equilibrium when every supported action of a group earns
 that group's common value and no other action beats it.
 
-`allocate` computes such an equilibrium by iterated support elimination
-(cheapest groups claim tasks first, negative probabilities drop out,
-groups whose idle mass is exhausted switch to busy-only supports), and
+The game is an exact potential game whose costs are affine in the
+loads (Monderer & Shapley 1996; Beckmann, McGuire & Winsten 1956).  With
+x_ik = n_0^i p_k^i and L_k = E[N_k], its equilibria are exactly the
+minimisers of the convex potential
+
+    Phi(x) = sum_k L_k^2 / (2 gamma_k) + sum_ik x_ik (s_k + c_k^i - 1)
+
+over x >= 0 with sum_k x_ik <= n_0^i: the optimality conditions of that
+problem are the equilibrium conditions.  `allocate` minimises Phi by
+Gauss-Seidel best response, where each group's step is an exact
+water-filling solution, and finishes with one linear solve of the
+equilibrium equations on the support the sweeps settle on.
 `verify_equilibrium` checks any candidate strategy against the
 definition directly, without reusing the solver's internals.
 """
@@ -45,9 +54,6 @@ __all__ = [
     "signal_range",
     "sample_assignment",
     "solve_homogeneous_idle",
-    "solve_homogeneous_noidle",
-    "solve_hetero_idle",
-    "solve_hetero_noidle",
     "allocate",
     "verify_equilibrium",
 ]
@@ -56,8 +62,8 @@ EPS_ZERO = 1e-12  # support membership and snap-to-bound tolerance
 EPS_EQ = 1e-8     # accepted expected-utility residual in the oracle
 EPS_SUM = 1e-9    # accepted row-normalization error
 
-_DEV_TOL = 1e-10    # profitable-deviation threshold inside the solver
-_MAX_READMIT = 4    # times a (group, task) pair may re-enter a support
+_CERT_TOL = 0.1 * EPS_EQ  # KKT residual allocate accepts before the oracle sees it
+_MAX_SWEEPS = 10_000      # best-response sweeps before allocate gives up
 
 
 class NoIdleRobots(ValueError):
@@ -65,7 +71,7 @@ class NoIdleRobots(ValueError):
 
 
 class AllocationError(RuntimeError):
-    """Support iteration failed to settle; indicates a solver bug."""
+    """Best response hit its sweep cap without a certified equilibrium."""
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +268,8 @@ def solve_homogeneous_idle(instance: ProblemInstance) -> MixedStrategy:
     Every supported task must pay exactly the idle utility, which pins
     p_k = (gamma_k / n_0) (1 - s_k - c_k - n_k/gamma_k), clamped to
     [0, 1].  The returned idle entry p_0 = 1 - sum p_k may be negative;
-    that flags infeasibility and the caller must fall through to
-    solve_homogeneous_noidle.
+    that flags infeasibility: the group then mixes over tasks only, and
+    `allocate` finds that equilibrium.
     """
     if instance.n_groups != 1:
         raise ValueError("expects exactly one group")
@@ -281,158 +287,29 @@ def solve_homogeneous_idle(instance: ProblemInstance) -> MixedStrategy:
     return MixedStrategy(np.concatenate(([p0], p)).reshape(1, -1))
 
 
-def solve_homogeneous_noidle(instance: ProblemInstance, support) -> MixedStrategy:
-    """Single-group equilibrium over a busy support (idle excluded).
-
-    Supported tasks must pay one common utility; with the lowest task j
-    of the support as pivot that reads
-
-        gamma_k p_j - gamma_j p_k
-            = (gamma_k gamma_j ((s_k + c_k) - (s_j + c_j))
-               + n_k gamma_j - n_j gamma_k) / n_0
-
-    for every other supported k, closed by sum p_k = 1.  Entries of the
-    exact solution may be negative; allocate eliminates those tasks and
-    re-solves.
-    """
-    if instance.n_groups != 1:
-        raise ValueError("expects exactly one group")
-    tasks = sorted(int(a) for a in support)
-    if 0 in tasks:
-        raise ValueError("busy support must exclude the idle action")
-    if len(tasks) < 2:
-        raise ValueError("busy support needs at least two tasks")
-    n0 = int(instance.counts[0, 0])
-    if n0 == 0:
-        raise NoIdleRobots("no idle robots in the group")
-    gamma, s, c = instance.gamma, instance.signals, instance.costs[0]
-    n = instance.task_totals
-    dim = len(tasks)
-    a = np.zeros((dim, dim))
-    b = np.zeros(dim)
-    j = tasks[0] - 1
-    for r, action in enumerate(tasks[1:]):
-        k = action - 1
-        a[r, 0] = gamma[k]
-        a[r, r + 1] = -gamma[j]
-        b[r] = (gamma[k] * gamma[j] * ((s[k] + c[k]) - (s[j] + c[j]))
-                + n[k] * gamma[j] - n[j] * gamma[k]) / n0
-    a[dim - 1, :] = 1.0
-    b[dim - 1] = 1.0
-    x = solve_linear(a, b)
-    row = np.zeros(instance.n_tasks + 1)
-    for idx, action in enumerate(tasks):
-        row[action] = x[idx]
-    return MixedStrategy(_snap(row).reshape(1, -1))
-
-
-def solve_hetero_idle(instance: ProblemInstance) -> MixedStrategy:
-    """Multi-group equilibrium when idling stays feasible for everyone.
-
-    Per task only the cheapest idle-rich group(s) participate; tied
-    groups pool their idle robots and share one per-robot probability
-
-        p_k = gamma_k (1 - s_k - c_k^min - |n_k|/gamma_k) / pooled_n0
-
-    clamped to [0, 1].  Rows of other groups get p_k^i = 0.  Idle
-    entries p_0^i = 1 - sum_k p_k^i may come out negative; the caller
-    falls through to the busy path for those groups.
-    """
-    g, m = instance.n_groups, instance.n_tasks
-    n0 = instance.counts[:, 0]
-    active = n0 > 0
-    if not active.any():
-        raise NoIdleRobots("no group has idle robots")
-    probs = np.zeros((g, m + 1))
-    probs[~active, 0] = 1.0
-    costs = np.where(active[:, None], instance.costs, np.inf)
-    cmin = costs.min(axis=0)
-    eligible = costs == cmin[None, :]
-    pool = (eligible * n0[:, None]).sum(axis=0)
-    target = instance.gamma * (1.0 - instance.signals - cmin) - instance.task_totals
-    shared = _snap(np.clip(target / pool, 0.0, 1.0))
-    probs[:, 1:] = eligible * shared[None, :]
-    task_mass = probs[active, 1:].sum(axis=1)
-    probs[active, 0] = np.where(np.abs(1.0 - task_mass) < EPS_ZERO, 0.0, 1.0 - task_mass)
-    return MixedStrategy(probs)
-
-
-def solve_hetero_noidle(instance: ProblemInstance, supports) -> MixedStrategy:
-    """Multi-group equilibrium over busy supports (idle excluded there).
-
-    Supported groups with identical cost vectors are pooled first (their
-    robots are interchangeable, so they share one strategy over the
-    union of their supports).  Each pooled group's supported tasks are
-    tied to its lowest supported task j through
-
-        sum_l n_0^l (p_j^l / gamma_j - p_k^l / gamma_k)
-            = (s_k + c_k^i) - (s_j + c_j^i) + |n_k|/gamma_k - |n_j|/gamma_j
-
-    with the sum running over every group supporting the task, plus one
-    normalization row per group.  Groups given an empty support keep the
-    degenerate idle row and stay out of the head-count bookkeeping.  A
-    singular system signals an inconsistent support guess; the caller
-    eliminates and retries.
-    """
-    g, m = instance.n_groups, instance.n_tasks
-    sup = np.zeros((g, m), dtype=bool)
-    for i, tasks in enumerate(supports):
-        for action in tasks:
-            action = int(action)
-            if action == 0:
-                raise ValueError("busy support must exclude the idle action")
-            sup[i, action - 1] = True
-    if not sup.any():
-        raise ValueError("at least one group must have a nonempty support")
-    kept = [i for i in range(g) if sup[i].any()]
-    if np.any(instance.counts[kept, 0] == 0):
-        raise NoIdleRobots("a supported group has no idle robots")
-
-    merged_idx, merged_counts = _merge_groups(instance.costs[kept], instance.counts[kept])
-    gm = merged_counts.shape[0]
-    sup_m = np.zeros((gm, m), dtype=bool)
-    for pos, i in enumerate(kept):
-        sup_m[merged_idx[pos]] |= sup[i]
-    probs_m = _solve_modes(
-        instance.gamma, instance.signals,
-        instance.costs[np.asarray(kept)[_first_members(merged_idx, gm)]],
-        merged_counts[:, 0].astype(float), instance.task_totals.astype(float),
-        sup_m, np.ones(gm, dtype=bool),
-    )
-    probs = np.zeros((g, m + 1))
-    probs[:, 0] = 1.0
-    for pos, i in enumerate(kept):
-        probs[i, 0] = 0.0
-        probs[i, 1:] = _snap(probs_m[merged_idx[pos]])
-    return MixedStrategy(probs)
-
-
 # ---------------------------------------------------------------------------
-# the support-iteration engine behind allocate
+# the potential-game solver behind allocate
 
 
 def _merge_groups(costs: np.ndarray, counts: np.ndarray):
-    """Pool groups with bit-identical cost vectors (they are one group)."""
+    """Pool groups with bit-identical cost vectors (they are one group).
+
+    Returns each group's merged index, the merged counts and the merged
+    groups' cost rows.
+    """
     index_of = {}
     merged_idx = np.empty(costs.shape[0], dtype=int)
-    rows = []
+    rows, first = [], []
     for i in range(costs.shape[0]):
         key = costs[i].tobytes()
         if key not in index_of:
             index_of[key] = len(rows)
             rows.append(counts[i].copy())
+            first.append(i)
         else:
             rows[index_of[key]] += counts[i]
         merged_idx[i] = index_of[key]
-    return merged_idx, np.array(rows)
-
-
-def _first_members(merged_idx: np.ndarray, gm: int) -> np.ndarray:
-    first = np.full(gm, -1, dtype=int)
-    for i, mi in enumerate(merged_idx):
-        if first[mi] < 0:
-            first[mi] = i
-    return first
+    return merged_idx, np.array(rows), costs[first]
 
 
 def _support_adjacency(sup):
@@ -476,7 +353,7 @@ def _support_components(tasks_of, groups_of, busy):
                         tasks.append(k)
         tasks.sort()
         components.append(tasks)
-    return components, comp
+    return components
 
 
 def _solve_component(gamma, s, c, n0, ntask, busy, tasks, groups_of, probs):
@@ -484,8 +361,8 @@ def _solve_component(gamma, s, c, n0, ntask, busy, tasks, groups_of, probs):
 
     Groups in idle mode pin every supported task's expected head count
     to its zero-utility level; busy groups contribute equal-utility rows
-    plus a normalization row.  Entries can be negative (the caller
-    eliminates).
+    plus a normalization row.  Entries can be negative on a support
+    that holds no equilibrium; the caller tests the result.
     """
     idx = {}
     for k in tasks:
@@ -557,205 +434,176 @@ def _solve_modes(gamma, s, c, n0, ntask, sup, busy):
         return sup * shared[None, :]
 
     tasks_of, groups_of = _support_adjacency(sup)
-    components, _ = _support_components(tasks_of, groups_of, busy)
+    components = _support_components(tasks_of, groups_of, busy)
     probs = np.zeros((g, m))
     for tasks in components:
         _solve_component(gamma, s, c, n0, ntask, busy, tasks, groups_of, probs)
     return probs
 
 
-def _reduce_idle_contenders(c, sup, busy):
-    """Lemma-4 sweep: per task, idle-mode groups above the cheapest drop out."""
-    idle_mask = sup & ~busy[:, None]
-    if not idle_mask.any():
-        return False
-    costs = np.where(idle_mask, c, np.inf)
-    cmin = costs.min(axis=0)
-    drop = idle_mask & (costs > cmin[None, :])
-    if drop.any():
-        sup[drop] = False
-        return True
-    return False
+def _water_fill(a, gamma, cap):
+    """Minimise sum_k (x_k - a_k)^2 / (2 gamma_k) over x >= 0, sum_k x_k <= cap.
 
-
-def _break_degeneracy(c, sup, busy):
-    """Resolve an unsolvable support pattern by evicting priced-out rows.
-
-    Tasks sharing a busy group form a rigid component: the group's
-    equal-utility rows fix every pairwise load difference, leaving one
-    free level per component.  Each idle-mode row pins that level too,
-    so two pins in one component overdetermine it.  Mass only pushes
-    loads up, which means the pin demanding the highest level wins and
-    the others sit strictly below water; drop them.  If no pin is
-    strictly dominated the failure is a numerical tie, and dropping the
-    costliest contender of a contested task breaks it instead.
+    The minimiser is x_k = max(0, a_k - gamma_k mu).  The level mu is 0
+    unless the cap binds; then the breakpoints a_k / gamma_k are taken
+    in descending order while each lies above the level the ones before
+    it set.  Plain floats: rows are short and this runs once per group
+    per sweep.  Returns (x, mu).
     """
-    tasks_of, groups_of = _support_adjacency(sup)
-    components, comp_of = _support_components(tasks_of, groups_of, busy)
+    if sum(ak for ak in a if ak > 0.0) <= cap:
+        return [ak if ak > 0.0 else 0.0 for ak in a], 0.0
+    breakpoints = sorted(((ak / gk, ak, gk) for ak, gk in zip(a, gamma) if ak > 0.0),
+                         reverse=True)
+    mass, weight = -cap, 0.0
+    for t, ak, gk in breakpoints:
+        if weight > 0.0 and t <= mass / weight:
+            break
+        mass += ak
+        weight += gk
+    mu = mass / weight
+    return [max(ak - gk * mu, 0.0) for ak, gk in zip(a, gamma)], mu
 
-    # load offsets within each component, flooding across busy links
-    offset = [0.0] * len(comp_of)
-    for tasks in components:
-        seen = {tasks[0]}
-        stack = [tasks[0]]
-        while stack:
-            j = stack.pop()
-            for i in groups_of[j]:
-                if not busy[i]:
-                    continue
-                for k in tasks_of[i]:
-                    if k not in seen:
-                        seen.add(k)
-                        offset[k] = offset[j] + c[i, j] - c[i, k]
-                        stack.append(k)
 
-    dropped = False
-    for tasks in components:
-        cells = [(i, k) for k in tasks for i in groups_of[k] if not busy[i]]
-        if len(cells) < 2:
-            continue
-        base = {cell: 1.0 - c[cell] - offset[cell[1]] for cell in cells}
-        top = max(base.values())
-        for cell, level in base.items():
-            if level < top - 1e-10:
-                sup[cell] = False
-                dropped = True
-    if dropped:
-        return True
+def _certified(w, gamma, n0, ntask, probs):
+    """KKT test of merged-group task probabilities, tighter than the oracle.
 
-    # Two busy groups spanning the same two tasks cannot both be
-    # indifferent unless their cost gaps agree, so the group with the
-    # more lopsided gap corners onto its comparatively cheaper task.
-    busy_multi = [i for i in np.flatnonzero(busy) if len(tasks_of[i]) >= 2]
-    best = None
-    for a in range(len(busy_multi)):
-        for b in range(a + 1, len(busy_multi)):
-            i, l = busy_multi[a], busy_multi[b]
-            shared = sorted(set(tasks_of[i]) & set(tasks_of[l]))
-            for p in range(len(shared)):
-                for q in range(p + 1, len(shared)):
-                    j, k = shared[p], shared[q]
-                    gap = (c[i, k] - c[i, j]) - (c[l, k] - c[l, j])
-                    if abs(gap) <= 1e-10:
+    Every supported action of a group, idling included while idle mass
+    remains, must earn the group's best utility within _CERT_TOL, and
+    every row must be a sub-distribution.  Rows without idle robots
+    carry no mass and are skipped.
+    """
+    util = w - (ntask + n0 @ probs) / gamma
+    best = np.maximum(util.max(axis=1), 0.0)
+    mass = probs.sum(axis=1)
+    bad_cell = np.where(probs > EPS_ZERO, best[:, None] - util > _CERT_TOL, probs < -EPS_ZERO)
+    bad_row = (mass > 1.0 + EPS_ZERO) | ((mass < 1.0 - EPS_ZERO) & (best > _CERT_TOL) & (n0 > 0))
+    return not (bad_cell.any() or bad_row.any())
+
+
+def _project(probs, n0, rows):
+    """Nearest masses x >= 0 with sum_k x_ik <= n0_i to x = n0 * probs."""
+    ones = [1.0] * probs.shape[1]
+    x = np.zeros(probs.shape)
+    for i in rows:
+        x[i] = _water_fill((probs[i] * n0[i]).tolist(), ones, n0[i])[0]
+    return x
+
+
+def _potential(w, gamma, ntask, x):
+    load = ntask + x.sum(axis=0)
+    return 0.5 * float(load @ (load / gamma)) - float(np.sum(w * x))
+
+
+def _extrapolate(w, gamma, ntask, n0, start, x):
+    """Exact line search of Phi along one sweep's displacement, past its end.
+
+    Phi is quadratic on start + t (x - start).  Where a near-tie between
+    two groups makes each sweep shift the same small mass, its minimiser
+    lies far beyond t = 1; the step stops where a mass would turn
+    negative or a group would overfill.
+    """
+    d = x - start
+    shift = d.sum(axis=0)
+    curvature = float(shift @ (shift / gamma))
+    slope = float(np.sum(((ntask + start.sum(axis=0)) / gamma - w) * d))
+    if slope >= 0.0:
+        return x
+    t = -slope / curvature if curvature > 0.0 else np.inf
+    shrink = d < 0.0
+    if shrink.any():
+        t = min(t, float(np.min(start[shrink] / -d[shrink])))
+    growth = d.sum(axis=1)
+    grow = growth > EPS_ZERO * n0
+    if grow.any():
+        t = min(t, float(np.min((n0[grow] - start[grow].sum(axis=1)) / growth[grow])))
+    if t <= 1.0:
+        return x
+    return np.maximum(start + t * d, 0.0)
+
+
+def _equilibrium(gamma, s, c, n0, ntask):
+    """Task probabilities (g, M) of the merged groups at a minimiser of Phi."""
+    w = 1.0 - s - c
+
+    # Warm start: every task to its cheapest group(s), everyone idling.
+    cost = np.where((n0 > 0)[:, None], c, np.inf)
+    cmin = cost.min(axis=0)
+    sup = (cost == cmin) & (gamma * (1.0 - s) - ntask - gamma * cmin > 0.0)
+    busy = np.zeros(n0.shape[0], dtype=bool)
+    probs = _solve_modes(gamma, s, c, n0, ntask, sup, busy)
+    if _certified(w, gamma, n0, ntask, probs):
+        return probs
+
+    rows = np.flatnonzero(n0 > 0).tolist()
+    val, gam, cap = (gamma * w).tolist(), gamma.tolist(), n0.tolist()
+    x = _project(probs, n0, rows)
+    seen, polished = set(), set()
+    for _ in range(_MAX_SWEEPS):
+        start = x
+        xs = start.tolist()
+        load = (ntask + start.sum(axis=0)).tolist()
+        for i in rows:
+            xi = xs[i]
+            xs[i], mu = _water_fill([v - l + xk for v, l, xk in zip(val[i], load, xi)],
+                                    gam, cap[i])
+            load = [l + nk - xk for l, nk, xk in zip(load, xs[i], xi)]
+            busy[i] = mu > 0.0
+        x = np.array(xs)
+        sup = x > EPS_ZERO * n0[:, None]
+        pattern = sup.tobytes() + busy.tobytes()
+        # A pattern met before has settled, or cycles on rounding dust.
+        if pattern in seen:
+            if pattern not in polished:
+                polished.add(pattern)
+                try:
+                    probs = _solve_modes(gamma, s, c, n0, ntask, sup, busy)
+                except SingularSystem:
+                    probs = None  # ties leave the masses free; test the iterate
+                if probs is not None:
+                    if _certified(w, gamma, n0, ntask, probs):
+                        return probs
+                    projected = _project(probs, n0, rows)
+                    if _potential(w, gamma, ntask, projected) < _potential(w, gamma, ntask, x):
+                        x = projected
                         continue
-                    corner_drop = k if gap > 0 else j
-                    cand = (abs(gap), i, corner_drop)
-                    if best is None or cand > best:
-                        best = cand
-    if best is not None:
-        sup[best[1], best[2]] = False
-        return True
-
-    best = None
-    for k, groups in enumerate(groups_of):
-        if len(groups) < 2:
-            continue
-        for i in groups:
-            key = (c[i, k], i, k)
-            if best is None or key > best:
-                best = key
-    if best is None:
-        return False
-    sup[best[1], best[2]] = False
-    return True
-
-
-def _equilibrate(gamma, s, c, n0, ntask, sup, busy):
-    """Iterate solve / eliminate / mode-flip until supports are stable."""
-    g, m = c.shape
-    cap = 4 * g * (m + 1) + 16
-    probs = np.zeros((g, m))
-    for _ in range(cap):
-        changed = _reduce_idle_contenders(c, sup, busy)
-        if not sup.any():
-            return np.zeros((g, m))
-        try:
-            probs = _solve_modes(gamma, s, c, n0, ntask, sup, busy)
-        except SingularSystem:
-            if _break_degeneracy(c, sup, busy):
-                continue
-            raise
-        drop = sup & (probs < EPS_ZERO)
-        if drop.any():
-            sup[drop] = False
-            probs[drop] = 0.0
-            changed = True
-        task_mass = np.where(sup, probs, 0.0).sum(axis=1)
-        overfull = ~busy & (task_mass > 1.0 + EPS_ZERO) & sup.any(axis=1)
-        if overfull.any():
-            busy[overfull] = True
-            changed = True
-        if busy.any():
-            emptied = busy & ~sup.any(axis=1)
-            if emptied.any():
-                busy[emptied] = False
-                changed = True
-        if busy.any():
-            q = n0 @ np.where(sup, probs, 0.0)
-            load = (ntask + q) / gamma + s
-            rows = np.flatnonzero(busy)
-            first = sup[rows].argmax(axis=1)
-            value = 1.0 - load[first] - c[rows, first]
-            underwater = rows[value < -EPS_ZERO]
-            if underwater.size:
-                busy[underwater] = False
-                changed = True
-        if not changed:
-            return np.where(sup, probs, 0.0)
-    raise AllocationError("support iteration did not settle")
+            probs = x / np.where(n0 > 0, n0, 1.0)[:, None]
+            if _certified(w, gamma, n0, ntask, probs):
+                return probs
+        seen.add(pattern)
+        x = _extrapolate(w, gamma, ntask, n0, start, x)
+    raise AllocationError(f"best response did not converge in {_MAX_SWEEPS} sweeps")
 
 
 def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResult:
     """Equilibrium assignment probabilities for one allocation round.
 
-    Runs the full pipeline: groups without idle robots are dropped to
-    degenerate idle rows, each task initially belongs to its cheapest
-    idle-rich group(s), then supports shrink by eliminating negative
-    probabilities and grow again on profitable deviations (a saturated
-    cheap group hands overflow to the next cost tier) until the support
-    structure is self-consistent.  With `check` the returned strategy is
-    certified by the independent oracle; an all-idle degenerate strategy
-    is returned when no group has idle robots.
+    Groups with identical cost vectors are merged, then the potential
+    Phi (see the module docstring) is minimised:
+
+    1. Each task goes to its cheapest group(s), everyone idling, and
+       that support is solved in closed form.
+    2. Otherwise, starting from that solution cut down to the feasible
+       set, Gauss-Seidel sweeps replace each group's masses with its
+       exact best response to the others, and an exact line search
+       along each sweep's displacement extends the step.
+    3. Once a (support, busy) pattern recurs, the equilibrium equations
+       on it are solved once.  A solution that fails the KKT test is
+       projected onto the feasible set and kept if that lowers Phi.
+       Where ties make the equations singular, the sweep iterate is
+       returned as soon as it passes the test itself.
+
+    Groups without idle robots get degenerate idle rows.  With `check`
+    the returned strategy is certified by the independent oracle.
+    Raises AllocationError only if the sweeps reach their cap.
     """
     m, g = instance.n_tasks, instance.n_groups
-    merged_idx, merged_counts = _merge_groups(instance.costs, instance.counts)
-    gm = merged_counts.shape[0]
-    first = _first_members(merged_idx, gm)
-    c = instance.costs[first]
+    merged_idx, merged_counts, c = _merge_groups(instance.costs, instance.counts)
     n0 = merged_counts[:, 0].astype(float)
-    ntask = instance.task_totals.astype(float)
-    gamma, s = instance.gamma, instance.signals
-    active = n0 > 0
-
-    probs_m = np.zeros((gm, m))
-    busy = np.zeros(gm, dtype=bool)
-    if active.any():
-        costs_active = np.where(active[:, None], c, np.inf)
-        cmin = costs_active.min(axis=0)
-        sup = costs_active == cmin[None, :]
-        admitted = np.zeros((gm, m), dtype=np.int64)
-        for _ in range(gm * m + 8):
-            probs_m = _equilibrate(gamma, s, c, n0, ntask, sup, busy)
-            q = n0 @ probs_m
-            load = (ntask + q) / gamma + s
-            utils = 1.0 - load[None, :] - c
-            value = np.zeros(gm)
-            rows = np.flatnonzero(busy)
-            if rows.size:
-                first = sup[rows].argmax(axis=1)
-                value[rows] = utils[rows, first]
-            deviating = active[:, None] & ~sup & (utils > value[:, None] + _DEV_TOL)
-            if not deviating.any():
-                break
-            for k in np.flatnonzero(deviating.any(axis=0)):
-                contenders = np.flatnonzero(deviating[:, k])
-                best = contenders[c[contenders, k] == c[contenders, k].min()]
-                sup[best, k] = True
-                admitted[best, k] += 1
-                if np.any(admitted[best, k] > _MAX_READMIT):
-                    raise AllocationError("support expansion cycled")
-        else:
-            raise AllocationError("support expansion did not settle")
+    if np.any(n0 > 0):
+        probs_m = _equilibrium(instance.gamma, instance.signals, c, n0,
+                               instance.task_totals.astype(float))
+    else:
+        probs_m = np.zeros(c.shape)
 
     probs = np.zeros((g, m + 1))
     for i in range(g):

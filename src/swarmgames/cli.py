@@ -4,7 +4,8 @@ fan out a Monte Carlo campaign.
 Exit codes
     0   success (allocate: verified equilibrium; sim: reached t_final)
     1   malformed input file or bad override
-    2   allocate produced a strategy the equilibrium oracle rejects
+    2   the equilibrium search failed (AllocationError), or allocate
+        produced a strategy the equilibrium oracle rejects
     3   simulation ended in energy depletion
     4   simulation ended in total deadlock: no robot can move again
 
@@ -196,7 +197,10 @@ def cmd_sim(args) -> int:
         return _fail(f"cannot read {args.scenario}: {exc.strerror}", 1)
     except ScenarioError as exc:
         return _fail(str(exc), 1)
-    metrics = run(config, args.seed)
+    try:
+        metrics = run(config, args.seed)
+    except AllocationError as exc:
+        return _fail(f"equilibrium search failed: {exc}", 2)
     _atomic_write(args.out, metrics.write_csv)
     steps = len(metrics.rows)
     print(f"{config.kind} seed={args.seed if args.seed is not None else config.seed}: "
@@ -351,13 +355,16 @@ def cmd_montecarlo(args) -> int:
     mapping = to_mapping(config)
     items = [(mapping, base + i, args.out) for i in range(args.runs)]
     jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and args.runs > 1:
-        # map preserves submission order, so the aggregate cannot
-        # depend on completion order
-        with multiprocessing.Pool(min(jobs, args.runs)) as pool:
-            stats = pool.map(_campaign_worker, items)
-    else:
-        stats = [_campaign_worker(item) for item in items]
+    try:
+        if jobs > 1 and args.runs > 1:
+            # map preserves submission order, so the aggregate cannot
+            # depend on completion order
+            with multiprocessing.Pool(min(jobs, args.runs)) as pool:
+                stats = pool.map(_campaign_worker, items)
+        else:
+            stats = [_campaign_worker(item) for item in items]
+    except AllocationError as exc:
+        return _fail(f"equilibrium search failed: {exc}", 2)
     summary = summarize_runs(stats)
     write_runs_csv(stats, os.path.join(args.out, "runs.csv"))
     write_summary_csv(summary, os.path.join(args.out, "summary.csv"))

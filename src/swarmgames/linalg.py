@@ -3,8 +3,8 @@
 The allocation solvers produce square systems no larger than roughly
 (M + g) x (M + g), well scaled (coefficients are head counts and
 reciprocal gammas).  Plain Gaussian elimination with partial pivoting
-is enough; what matters is an explicit singularity signal, because a
-singular system means the caller guessed an inconsistent support.
+is enough; what matters is an explicit singularity signal: on a
+singular system the caller falls back to its best-response iterate.
 """
 
 from __future__ import annotations

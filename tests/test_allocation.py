@@ -1,18 +1,20 @@
 """Tests for the equilibrium solver and its oracle.
 
 Expected values were worked out by hand from the utility definition
-(or, where noted, cross-checked by Monte Carlo) before being frozen
-here, so the solver is tested against numbers it did not produce.
+(or, where noted, cross-checked by Monte Carlo or by a general-purpose
+minimiser of the game's potential) before being frozen here, so the
+solver is tested against numbers it did not produce.
 """
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from swarmgames.allocation import (
-    EPS_EQ,
-    AllocationError,
     MixedStrategy,
     NoIdleRobots,
     ProblemInstance,
@@ -21,10 +23,7 @@ from swarmgames.allocation import (
     expected_utility,
     sample_assignment,
     signal_range,
-    solve_hetero_idle,
-    solve_hetero_noidle,
     solve_homogeneous_idle,
-    solve_homogeneous_noidle,
     verify_equilibrium,
 )
 
@@ -187,7 +186,7 @@ def test_homogeneous_idle_exact_boundaries():
 
 def test_homogeneous_noidle_hand_values():
     inst = homogeneous([10.0, 10.0], [0.2, 0.4], idle=5)
-    strat = solve_homogeneous_noidle(inst, (1, 2))
+    strat = allocate(inst).strategy
     assert strat.probs[0, 1] == pytest.approx(0.7, abs=1e-9)
     assert strat.probs[0, 2] == pytest.approx(0.3, abs=1e-9)
     assert strat.probs[0, 0] == 0.0
@@ -198,39 +197,13 @@ def test_homogeneous_noidle_hand_values():
 
 def test_homogeneous_noidle_symmetric_tasks():
     inst = homogeneous([8.0, 8.0], [0.3, 0.3], idle=6)
-    strat = solve_homogeneous_noidle(inst, (1, 2))
+    strat = allocate(inst).strategy
     assert strat.probs[0, 1] == pytest.approx(0.5, abs=1e-12)
     assert strat.probs[0, 2] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_homogeneous_noidle_rejects_bad_support():
-    inst = homogeneous([10.0, 10.0], [0.2, 0.4], idle=5)
-    with pytest.raises(ValueError):
-        solve_homogeneous_noidle(inst, (1,))
-    with pytest.raises(ValueError):
-        solve_homogeneous_noidle(inst, (0, 1))
-    with pytest.raises(NoIdleRobots):
-        solve_homogeneous_noidle(homogeneous([10.0, 10.0], [0.2, 0.4], idle=0), (1, 2))
-
-
 # ---------------------------------------------------------------------------
-# heterogeneous solvers
-
-
-def test_hetero_idle_cheapest_group_only():
-    # Group 0 undercuts group 1, so group 1 stays out of the task.
-    inst = ProblemInstance(
-        gamma=[10.0],
-        signals=[0.5],
-        costs=[[0.1], [0.3]],
-        counts=[[5, 1], [3, 1]],
-    )
-    strat = solve_hetero_idle(inst)
-    assert strat.probs[0, 1] == pytest.approx(0.4, abs=1e-12)
-    assert strat.probs[0, 0] == pytest.approx(0.6, abs=1e-12)
-    assert strat.probs[1, 1] == 0.0
-    assert strat.probs[1, 0] == 1.0
-    assert verify_equilibrium(inst, strat).valid
+# heterogeneous groups
 
 
 def test_hetero_idle_cost_ties_pool_robots():
@@ -240,7 +213,7 @@ def test_hetero_idle_cost_ties_pool_robots():
         costs=[[0.1], [0.1]],
         counts=[[5, 1], [3, 1]],
     )
-    strat = solve_hetero_idle(inst)
+    strat = allocate(inst).strategy
     # gamma (1 - s - c - 2/gamma) / (5 + 3) = 10 * 0.2 / 8
     assert strat.probs[0, 1] == pytest.approx(0.25, abs=1e-12)
     assert strat.probs[1, 1] == pytest.approx(0.25, abs=1e-12)
@@ -248,29 +221,16 @@ def test_hetero_idle_cost_ties_pool_robots():
 
 
 def test_hetero_idle_requires_idle_robots():
+    # Without idle robots nobody decides: every row is the idle row.
     inst = ProblemInstance(
         gamma=[10.0],
         signals=[0.5],
         costs=[[0.1], [0.3]],
         counts=[[0, 1], [0, 1]],
     )
-    with pytest.raises(NoIdleRobots):
-        solve_hetero_idle(inst)
-
-
-def test_hetero_noidle_diagonal_supports():
-    inst = ProblemInstance(
-        gamma=[10.0, 10.0],
-        signals=[0.3, 0.3],
-        costs=[[0.1, 0.5], [0.6, 0.2]],
-        counts=[[4, 0, 0], [4, 0, 0]],
-    )
-    strat = solve_hetero_noidle(inst, [(1,), (2,)])
-    assert strat.probs[0].tolist() == [0.0, 1.0, 0.0]
-    assert strat.probs[1].tolist() == [0.0, 0.0, 1.0]
-    assert verify_equilibrium(inst, strat).valid
-    assert expected_utility(inst, strat, 0, 1) == pytest.approx(0.2, abs=1e-9)
-    assert expected_utility(inst, strat, 1, 2) == pytest.approx(0.1, abs=1e-9)
+    result = allocate(inst)
+    assert result.strategy.probs.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+    assert result.report.valid
 
 
 def test_hetero_noidle_pools_identical_cost_groups():
@@ -280,11 +240,11 @@ def test_hetero_noidle_pools_identical_cost_groups():
         costs=[[0.0, 0.0], [0.0, 0.0]],
         counts=[[2, 0, 0], [3, 0, 0]],
     )
-    strat = solve_hetero_noidle(inst, [(1, 2), (1, 2)])
-    pooled = solve_homogeneous_noidle(homogeneous([10.0, 10.0], [0.2, 0.4], idle=5), (1, 2))
+    strat = allocate(inst).strategy
+    # the five pooled robots split as one group of five would
     for i in range(2):
-        assert strat.probs[i, 1] == pytest.approx(pooled.probs[0, 1], abs=1e-9)
-        assert strat.probs[i, 2] == pytest.approx(pooled.probs[0, 2], abs=1e-9)
+        assert strat.probs[i, 1] == pytest.approx(0.7, abs=1e-9)
+        assert strat.probs[i, 2] == pytest.approx(0.3, abs=1e-9)
     assert verify_equilibrium(inst, strat).valid
 
 
@@ -295,7 +255,7 @@ def test_hetero_noidle_empty_support_rows_stay_idle():
         costs=[[0.0], [0.9]],
         counts=[[4, 0], [7, 0]],
     )
-    strat = solve_hetero_noidle(inst, [(1,), ()])
+    strat = allocate(inst).strategy
     assert strat.probs[0].tolist() == [0.0, 1.0]
     assert strat.probs[1].tolist() == [1.0, 0.0]
 
@@ -363,6 +323,8 @@ def test_allocate_diagonal_specialization():
     assert result.strategy.probs[0].tolist() == pytest.approx([0.0, 1.0, 0.0], abs=1e-9)
     assert result.strategy.probs[1].tolist() == pytest.approx([0.0, 0.0, 1.0], abs=1e-9)
     assert result.report.valid
+    assert expected_utility(inst, result.strategy, 0, 1) == pytest.approx(0.2, abs=1e-9)
+    assert expected_utility(inst, result.strategy, 1, 2) == pytest.approx(0.1, abs=1e-9)
 
 
 def test_allocate_hetero_idle_feasible():
@@ -457,21 +419,106 @@ def test_allocate_prices_out_pin_behind_saturated_group():
     assert result.report.valid
 
 
-def test_allocate_random_instances_verify():
-    rng = random.Random(20240822)
-    for trial in range(300):
-        m = rng.randrange(1, 6)
-        g = rng.randrange(1, 5)
-        inst = ProblemInstance(
-            gamma=[rng.uniform(1.0, 20.0) for _ in range(m)],
-            signals=[rng.random() for _ in range(m)],
-            costs=[[rng.random() for _ in range(m)] for _ in range(g)],
-            counts=[[rng.randrange(0, 11) for _ in range(m + 1)] for _ in range(g)],
-        )
-        result = allocate(inst)
-        assert result.report.valid, f"trial {trial}: {result.report}"
-        sums = result.strategy.probs.sum(axis=1)
-        assert np.all(np.abs(sums - 1.0) <= 1e-9), f"trial {trial}: row sums {sums}"
+def _pooled_draw(rng, g, m):
+    """Pooled groups: 2-6 idle and 0-3 committed robots each, drawn in this order."""
+    gamma = [rng.uniform(2.0, 20.0) for _ in range(m)]
+    signals = [rng.random() for _ in range(m)]
+    costs = [[rng.uniform(0.0, 0.5) for _ in range(m)] for _ in range(g)]
+    counts = [[rng.randint(2, 6)] + [rng.randint(0, 3) for _ in range(m)] for _ in range(g)]
+    return ProblemInstance(gamma, signals, costs, counts)
+
+
+@st.composite
+def instances(draw):
+    """Any shape up to 64 groups x 16 tasks, in three count families.
+
+    Singleton groups with nothing committed are what monitoring builds;
+    pooled groups always have idle robots; random counts include groups
+    without any.  Rounded draws make exact cost and task ties.
+    """
+    family = draw(st.sampled_from(["singleton", "pooled", "random"]))
+    g = draw(st.integers(1, 64))
+    m = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gamma = rng.uniform(1.0, 20.0, m)
+    signals = rng.uniform(0.0, 1.0, m)
+    costs = rng.uniform(0.0, 1.0, (g, m))
+    if draw(st.booleans()):
+        gamma, signals, costs = np.round(gamma), np.round(signals, 1), np.round(costs, 1)
+    counts = np.zeros((g, m + 1), dtype=np.int64)
+    if family == "singleton":
+        counts[:, 0] = 1
+    elif family == "pooled":
+        counts[:, 0] = rng.integers(2, 7, g)
+        counts[:, 1:] = rng.integers(0, 4, (g, m))
+    else:
+        counts[:] = rng.integers(0, 11, (g, m + 1))
+    return ProblemInstance(gamma, signals, costs, counts)
+
+
+def potential_minimiser_loads(inst):
+    """Task loads minimising the game's potential, by SLSQP over x = n0 p.
+
+    Phi(x) = sum_k L_k^2 / (2 gamma_k) + sum_ik x_ik (s_k + c_ik - 1)
+    over x >= 0 with sum_k x_ik <= n0_i; Phi is strictly convex in the
+    loads L, so they are unique even where the masses are not.
+    """
+    g, m = inst.n_groups, inst.n_tasks
+    n0 = inst.idle_counts.astype(float)
+    w = (1.0 - inst.signals - inst.costs).ravel()
+    rows = np.kron(np.eye(g), np.ones(m))
+
+    def loads(z):
+        return inst.task_totals + z.reshape(g, m).sum(axis=0)
+
+    res = minimize(
+        lambda z: 0.5 * np.sum(loads(z) ** 2 / inst.gamma) - w @ z,
+        np.zeros(g * m),
+        jac=lambda z: np.tile(loads(z) / inst.gamma, g) - w,
+        method="SLSQP",
+        bounds=[(0.0, n) for n in np.repeat(n0, m)],
+        constraints=[{"type": "ineq", "fun": lambda z: n0 - rows @ z, "jac": lambda z: -rows}],
+        options={"ftol": 1e-15, "maxiter": 1000},
+    )
+    return loads(res.x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+# pooled groups on which support iteration cycled
+@example(_pooled_draw(random.Random("1088/4/5"), 4, 5))
+# the monitoring scenario, campaign seed 508003, the step support iteration cycled on
+@example(ProblemInstance(
+    gamma=[4.0] * 5,
+    signals=[0.5499999999999999, 1.0, 0.17500000000000004, 1.0, 0.025000000000000133],
+    costs=[
+        [0.6517286556986409, 0.6951022679847653, 0.5271647268262855,
+         0.30434401707723224, 0.4282313433323172],
+        [0.8870694569346763, 0.8828562255208329, 0.5441914159972652,
+         0.0700803249412795, 0.5551667758397997],
+        [0.47035582468363174, 0.6932695550385304, 0.702547851943101,
+         0.49212747318957095, 0.2717991244503061],
+        [0.5476078237979062, 0.09999999999999998, 0.5236209131088881,
+         0.8528333391217111, 0.8620936010218696],
+    ],
+    counts=[[1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0]],
+))
+# two singleton groups, each indifferent between two tied tasks: the
+# masses on those tasks are not unique, only their loads are
+@example(ProblemInstance(
+    gamma=[4.0, 4.0, 4.0],
+    signals=[0.0, 0.0, 0.0],
+    costs=[[0.3, 0.3, 0.3], [0.3, 0.3, 0.4]],
+    counts=[[1, 0, 0, 0], [1, 0, 0, 0]],
+))
+def test_allocate_random_instances_verify(inst):
+    result = allocate(inst)
+    assert result.report.valid, result.report
+    sums = result.strategy.probs.sum(axis=1)
+    assert np.all(np.abs(sums - 1.0) <= 1e-9), sums
+    if inst.n_groups * inst.n_tasks <= 24:
+        loads = inst.task_totals + inst.idle_counts @ result.strategy.probs[:, 1:]
+        assert np.allclose(loads, potential_minimiser_loads(inst), rtol=0.0, atol=1e-5)
 
 
 def test_allocate_dominance_ordering():

@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from swarmgames.allocation import AllocationError
 from swarmgames.cli import CampaignSummary, main, summarize_runs
+from swarmgames.sim import engine
 
 TWO_TASK_INSTANCE = """\
 gamma: [2, 2]
@@ -127,6 +129,21 @@ def test_sim_total_deadlock_exits_4(tmp_path, capsys):
     assert code == 4
     assert "FAILURE: Deadlocked" in capsys.readouterr().err
     assert len(read_csv(out)) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["sim", "--out", "run.csv"],
+    ["montecarlo", "--runs", "1", "--jobs", "1", "--out", "camp"],
+])
+def test_failed_equilibrium_search_exits_2(tmp_path, capsys, monkeypatch, command):
+    # 1 means malformed input; a solver failure mid-run is not that
+    def fail(instance, **kwargs):
+        raise AllocationError("best response did not converge")
+
+    monkeypatch.setattr(engine, "allocate", fail)
+    monkeypatch.chdir(tmp_path)
+    assert main(command[:1] + ["--scenario", "monitoring", "--t-final", "5"] + command[1:]) == 2
+    assert "equilibrium search failed: best response did not converge" in capsys.readouterr().err
 
 
 def test_sim_unknown_scenario_exits_1(tmp_path, capsys):
