@@ -28,7 +28,9 @@ Gauss-Seidel best response, where each group's step is an exact
 water-filling solution, and finishes with one linear solve of the
 equilibrium equations on the support the sweeps settle on.
 `verify_equilibrium` checks any candidate strategy against the
-definition directly, without reusing the solver's internals.
+definition: a vectorised re-computation of the loads and utilities,
+independent of the solver, that needs one load vector and one
+(g, M+1) utility matrix.
 """
 
 from __future__ import annotations
@@ -167,16 +169,16 @@ class MixedStrategy:
         the degenerate idle distribution (those robots make no choice).
         """
         p = self.probs
-        if np.any(p < -EPS_ZERO) or np.any(p > 1.0 + EPS_ZERO):
+        if not np.all((p >= -EPS_ZERO) & (p <= 1.0 + EPS_ZERO)):  # NaN fails too
             raise ValueError("probabilities outside [0, 1]")
         err = np.max(np.abs(p.sum(axis=1) - 1.0))
         if err > tol:
             raise ValueError(f"row sums off by {err:.3e} (> {tol})")
         if counts is not None:
-            counts = np.atleast_2d(counts)
-            for i in range(p.shape[0]):
-                if counts[i, 0] == 0 and abs(p[i, 0] - 1.0) > EPS_ZERO:
-                    raise ValueError(f"group {i} has no idle robots but row is not idle")
+            busy = (np.atleast_2d(counts)[:, 0] == 0) & (np.abs(p[:, 0] - 1.0) > EPS_ZERO)
+            if busy.any():
+                raise ValueError(f"group {int(np.argmax(busy))} has no idle robots "
+                                 "but row is not idle")
 
     def supports(self, tol: float = EPS_ZERO) -> list[tuple[int, ...]]:
         return [tuple(int(a) for a in np.flatnonzero(row > tol)) for row in self.probs]
@@ -194,8 +196,11 @@ class EquilibriumReport:
 @dataclasses.dataclass(frozen=True)
 class AllocationResult:
     strategy: MixedStrategy
-    supports: list[tuple[int, ...]]
     report: EquilibriumReport | None
+
+    @property
+    def supports(self) -> list[tuple[int, ...]]:
+        return self.strategy.supports()
 
 
 # ---------------------------------------------------------------------------
@@ -606,20 +611,15 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
         probs_m = np.zeros(c.shape)
 
     probs = np.zeros((g, m + 1))
-    for i in range(g):
-        if instance.counts[i, 0] > 0:
-            row = _snap(probs_m[merged_idx[i]])
-            mass = row.sum()
-            p0 = 1.0 - mass
-            if abs(p0) < EPS_ZERO:
-                p0 = 0.0
-            probs[i, 0] = p0
-            probs[i, 1:] = row
-        else:
-            probs[i, 0] = 1.0
+    probs[:, 0] = 1.0
+    deciding = instance.idle_counts > 0
+    rows = _snap(probs_m[merged_idx[deciding]])
+    p0 = 1.0 - rows.sum(axis=1)
+    probs[deciding, 0] = np.where(np.abs(p0) < EPS_ZERO, 0.0, p0)
+    probs[deciding, 1:] = rows
     strategy = MixedStrategy(probs)
     report = verify_equilibrium(instance, strategy) if check else None
-    return AllocationResult(strategy, strategy.supports(), report)
+    return AllocationResult(strategy, report)
 
 
 # ---------------------------------------------------------------------------
@@ -633,25 +633,23 @@ def verify_equilibrium(instance: ProblemInstance, strategy: MixedStrategy) -> Eq
     one expected utility (within EPS_EQ) and no other action may beat
     that value by more than EPS_EQ.  Groups without idle robots make no
     decision, so their rows are only checked for well-formedness.  This
-    is deliberately plain re-computation, independent of the solver.
+    is a vectorised re-computation from the definitions, independent of
+    the solver: one load vector E[N_k], one (g, M+1) utility matrix with
+    the idle column at zero, and masked row reductions over it.
     """
-    strategy.validate(counts=instance.counts)
-    if strategy.probs.shape != (instance.n_groups, instance.n_tasks + 1):
+    probs = strategy.probs
+    if probs.shape != (instance.n_groups, instance.n_tasks + 1):
         raise ValueError("strategy dimensions do not match instance")
-    worst_spread = 0.0
-    worst_dominance = 0.0
-    for i in range(instance.n_groups):
-        if instance.counts[i, 0] == 0:
-            continue
-        row = strategy.probs[i]
-        utilities = [expected_utility(instance, strategy, i, a)
-                     for a in range(instance.n_tasks + 1)]
-        supported = [a for a in range(instance.n_tasks + 1) if row[a] > EPS_ZERO]
-        inside = [utilities[a] for a in supported]
-        spread = max(inside) - min(inside)
-        outside = [utilities[a] for a in range(instance.n_tasks + 1) if a not in supported]
-        dominance = max(0.0, max(outside) - max(inside)) if outside else 0.0
-        worst_spread = max(worst_spread, spread)
-        worst_dominance = max(worst_dominance, dominance)
+    strategy.validate(counts=instance.counts)
+    load = instance.task_totals + instance.idle_counts @ probs[:, 1:]
+    util = np.zeros(probs.shape)
+    util[:, 1:] = (instance.gamma - load) / instance.gamma - instance.signals - instance.costs
+    deciding = instance.idle_counts > 0
+    util, supported = util[deciding], probs[deciding] > EPS_ZERO
+    best = np.where(supported, util, -np.inf).max(axis=1)
+    worst = np.where(supported, util, np.inf).min(axis=1)
+    rival = np.where(supported, -np.inf, util).max(axis=1)
+    worst_spread = float(np.max(best - worst, initial=0.0))
+    worst_dominance = float(np.max(rival - best, initial=0.0))
     valid = worst_spread <= EPS_EQ and worst_dominance <= EPS_EQ
     return EquilibriumReport(worst_spread, worst_dominance, valid)

@@ -8,6 +8,7 @@ Exit codes
         produced a strategy the equilibrium oracle rejects
     3   simulation ended in energy depletion
     4   simulation ended in total deadlock: no robot can move again
+        (montecarlo: any run did, after every artifact is written)
 
 All outputs are written to a temp file and renamed into place, so a
 crash never leaves a partial artifact behind.
@@ -377,6 +378,9 @@ def cmd_montecarlo(args) -> int:
     _atomic_write(os.path.join(args.out, "summary.txt"), write_text)
     print(text, end="")
     print(f"campaign artifacts -> {args.out}")
+    deadlocked = sum(1 for row in stats if row["failure"] == DEADLOCKED)
+    if deadlocked:
+        return _fail(f"FAILURE: {DEADLOCKED} in {deadlocked} of {len(stats)} runs", 4)
     return 0
 
 

@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from swarmgames.allocation import (
+    EPS_EQ,
+    EPS_SUM,
+    EPS_ZERO,
     MixedStrategy,
     NoIdleRobots,
     ProblemInstance,
@@ -546,8 +549,109 @@ def test_allocate_dominance_ordering():
     assert checked > 10  # the scenario actually occurred
 
 
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_allocate_check_flag_only_adds_the_report(inst):
+    checked = allocate(inst, check=True)
+    unchecked = allocate(inst, check=False)
+    assert checked.strategy.probs.tobytes() == unchecked.strategy.probs.tobytes()
+    assert unchecked.report is None
+    assert checked.report is not None
+    assert checked.supports == checked.strategy.supports()
+
+
 # ---------------------------------------------------------------------------
 # oracle behavior on bad strategies
+
+
+def loop_oracle(inst, strategy):
+    """The oracle computed the plain way, one expected_utility call per
+    (group, action) and one row at a time, as a reference for the
+    vectorised verify_equilibrium.  Returns (spread, dominance, valid).
+    """
+    probs = strategy.probs
+    if probs.shape != (inst.n_groups, inst.n_tasks + 1):
+        raise ValueError("strategy dimensions do not match instance")
+    for i, row in enumerate(probs):
+        if not all(-EPS_ZERO <= p <= 1.0 + EPS_ZERO for p in row):
+            raise ValueError(f"row {i} has probabilities outside [0, 1]")
+        if abs(row.sum() - 1.0) > EPS_SUM:
+            raise ValueError(f"row {i} does not sum to 1")
+        if inst.counts[i, 0] == 0 and abs(row[0] - 1.0) > EPS_ZERO:
+            raise ValueError(f"group {i} has no idle robots but row is not idle")
+    worst_spread = worst_dominance = 0.0
+    for i, row in enumerate(probs):
+        if inst.counts[i, 0] == 0:
+            continue
+        utilities = [expected_utility(inst, strategy, i, a) for a in range(len(row))]
+        inside = [u for u, p in zip(utilities, row) if p > EPS_ZERO]
+        outside = [u for u, p in zip(utilities, row) if not p > EPS_ZERO]
+        worst_spread = max(worst_spread, max(inside) - min(inside))
+        if outside:
+            worst_dominance = max(worst_dominance, max(outside) - max(inside))
+    return worst_spread, worst_dominance, worst_spread <= EPS_EQ and worst_dominance <= EPS_EQ
+
+
+@st.composite
+def oracle_cases(draw):
+    """An instance and a strategy for it: the allocate output, that output
+    with mass-free entries raised to exactly EPS_ZERO, a random
+    non-equilibrium strategy, or a malformed one.
+    """
+    inst = draw(instances())
+    kind = draw(st.sampled_from(["allocate", "dust", "random", "malformed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # groups without idle robots make no choice
+        counts = inst.counts.copy()
+        counts[rng.uniform(size=inst.n_groups) < 0.25, 0] = 0
+        inst = ProblemInstance(inst.gamma, inst.signals, inst.costs, counts)
+    g, m1 = inst.n_groups, inst.n_tasks + 1
+    deciding = inst.idle_counts > 0
+    if kind in ("allocate", "dust"):
+        probs = allocate(inst, check=False).strategy.probs.copy()
+    else:
+        probs = rng.uniform(0.0, 1.0, (g, m1)) * (rng.uniform(size=(g, m1)) < 0.5)
+        probs[:, 0] += rng.uniform(size=g) < 0.5
+        probs[probs.sum(axis=1) == 0.0, 0] = 1.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[~deciding] = np.eye(1, m1)
+    if kind in ("dust", "random"):
+        # entries at the support threshold itself belong outside the support
+        dust = (rng.uniform(size=(g, m1)) < 0.2) & (probs == 0.0) & deciding[:, None]
+        probs[dust] = EPS_ZERO
+    if kind == "malformed":
+        fault = draw(st.sampled_from(["sum", "negative", "nan", "busy"]))
+        if fault == "busy" and deciding.all():
+            fault = "sum"
+        rows = np.flatnonzero(~deciding) if fault == "busy" else np.arange(g)
+        i = int(rng.choice(rows))
+        if fault == "sum":
+            probs[i] *= 1.01
+        elif fault == "negative":
+            probs[i, 1] += probs[i, 0] + 1e-3
+            probs[i, 0] = -1e-3
+        elif fault == "nan":
+            probs[i, int(rng.integers(m1))] = np.nan
+        else:
+            probs[i, :2] = 0.5
+    return inst, MixedStrategy(probs), kind == "malformed"
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_cases())
+def test_verify_matches_loop_oracle(case):
+    inst, strategy, malformed = case
+    if malformed:
+        with pytest.raises(ValueError):
+            loop_oracle(inst, strategy)
+        with pytest.raises(ValueError):
+            verify_equilibrium(inst, strategy)
+        return
+    spread, dominance, valid = loop_oracle(inst, strategy)
+    report = verify_equilibrium(inst, strategy)
+    assert report.max_support_residual == pytest.approx(spread, rel=1e-12, abs=1e-12)
+    assert report.max_dominance_violation == pytest.approx(dominance, rel=1e-12, abs=1e-12)
+    assert report.valid == valid
 
 
 def test_verify_flags_perturbed_strategy():

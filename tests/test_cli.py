@@ -275,13 +275,18 @@ def test_montecarlo_singleton_matches_single_run(tmp_path):
     assert sum(c for _, c in summary.energy_histogram) == 1
 
 
-def test_montecarlo_records_total_deadlock(tmp_path):
+def test_montecarlo_records_total_deadlock(tmp_path, capsys):
     out = tmp_path / "camp"
     assert main(["montecarlo", "--scenario", "monitoring", "--set", "n_robots=12",
-                 "--t-final", "50", "--runs", "1", "--jobs", "1",
-                 "--out", str(out)]) == 0
+                 "--t-final", "50", "--runs", "2", "--jobs", "1",
+                 "--out", str(out)]) == 4
+    assert "FAILURE: Deadlocked in 2 of 2 runs" in capsys.readouterr().err
     runs = parse_runs_csv(out / "runs.csv")
-    assert [(r["failure"], r["steps"]) for r in runs] == [("Deadlocked", 1)]
+    assert [(r["failure"], r["steps"]) for r in runs] == [("Deadlocked", 1)] * 2
+    # every artifact is written before the failing exit
+    assert parse_summary_csv(out / "summary.csv").runs == 2
+    assert (out / "summary.txt").exists()
+    assert no_tmp_litter(out)
 
 
 def test_montecarlo_rejects_zero_runs(tmp_path):
