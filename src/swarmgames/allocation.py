@@ -27,6 +27,20 @@ problem are the equilibrium conditions.  `allocate` minimises Phi by
 Gauss-Seidel best response, where each group's step is an exact
 water-filling solution, and finishes with one linear solve of the
 equilibrium equations on the support the sweeps settle on.
+
+Most rounds a simulation meets are small (the monitoring scenario's
+4 groups x 5 tasks, the colony's 1 x 2), and most of those end at the
+closed-form warm start: one diagonal solve.  On arrays of a few dozen
+cells numpy's fixed cost per call outweighs the arithmetic, so rounds of
+at most `_SMALL_CELLS` cells (g x M) run the group merge, the warm
+start, its KKT test and the row assembly in plain Python floats, with
+the same operations in the same order, so the strategies are
+bit-identical (only the KKT test's load sums may round differently, by
+an ulp); a warm start that fails the test hands over to the array
+code's sweeps.  Larger rounds run in array code throughout.  The
+constant sits below the measured whole-round crossover (at par near 96
+cells, the array code ahead from 128).
+
 `verify_equilibrium` checks any candidate strategy against the
 definition: a vectorised re-computation of the loads and utilities,
 independent of the solver, that needs one load vector and one
@@ -36,6 +50,7 @@ independent of the solver, that needs one load vector and one
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -66,6 +81,7 @@ EPS_SUM = 1e-9    # accepted row-normalization error
 
 _CERT_TOL = 0.1 * EPS_EQ  # KKT residual allocate accepts before the oracle sees it
 _MAX_SWEEPS = 10_000      # best-response sweeps before allocate gives up
+_SMALL_CELLS = 64         # g x M at or below which allocate runs in plain floats
 
 
 class NoIdleRobots(ValueError):
@@ -104,19 +120,26 @@ class ProblemInstance:
         g = costs.shape[0]
         if m == 0:
             raise ValueError("need at least one task")
+        if g == 0:
+            raise ValueError("need at least one group")
+        if gamma.ndim != 1:
+            raise ValueError(f"gamma shape {gamma.shape} is not (M,)")
         if signals.shape != (m,):
             raise ValueError(f"signals shape {signals.shape} != ({m},)")
         if costs.shape != (g, m):
             raise ValueError(f"costs shape {costs.shape} != ({g}, {m})")
         if counts.shape != (g, m + 1):
             raise ValueError(f"counts shape {counts.shape} != ({g}, {m + 1})")
-        if not np.all(np.isfinite(gamma)) or np.any(gamma <= 0.0):
+        # One min and one max per field; a NaN makes both comparisons false.
+        if not (gamma.min() > 0.0 and gamma.max() < math.inf):
             raise ValueError("gamma entries must be finite and > 0")
-        if np.any(signals < 0.0) or np.any(signals > 1.0):
+        if not (signals.min() >= 0.0 and signals.max() <= 1.0):
             raise ValueError("signals must lie in [0, 1]")
-        if not np.all(np.isfinite(costs)) or np.any(costs < 0.0):
+        if not (costs.min() >= 0.0 and costs.max() < math.inf):
             raise ValueError("costs must be finite and >= 0")
-        if np.any(counts < 0) or np.any(counts != np.floor(counts)):
+        # the bound keeps the int64 cast exact; fmod sees finite values only
+        if (not (counts.min() >= 0.0 and counts.max() < 2.0 ** 63)
+                or np.fmod(counts, 1.0).any()):
             raise ValueError("counts must be nonnegative integers")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "signals", signals)
@@ -244,11 +267,9 @@ def sample_assignment(strategy: MixedStrategy, i: int, u: float) -> int:
 
     Returns the first action whose cumulative probability exceeds u.
     """
-    row = strategy.probs[i]
     acc = 0.0
     last_positive = 0
-    for a in range(row.shape[0]):
-        p = row[a]
+    for a, p in enumerate(strategy.probs[i].tolist()):
         if p > 0.0:
             last_positive = a
         acc += p
@@ -526,18 +547,22 @@ def _extrapolate(w, gamma, ntask, n0, start, x):
     return np.maximum(start + t * d, 0.0)
 
 
-def _equilibrium(gamma, s, c, n0, ntask):
-    """Task probabilities (g, M) of the merged groups at a minimiser of Phi."""
-    w = 1.0 - s - c
+def _equilibrium(gamma, s, c, n0, ntask, probs=None):
+    """Task probabilities (g, M) of the merged groups at a minimiser of Phi.
 
-    # Warm start: every task to its cheapest group(s), everyone idling.
-    cost = np.where((n0 > 0)[:, None], c, np.inf)
-    cmin = cost.min(axis=0)
-    sup = (cost == cmin) & (gamma * (1.0 - s) - ntask - gamma * cmin > 0.0)
+    `probs` is a warm start that already failed the KKT test; without
+    it the closed-form warm start is computed and tested here first.
+    """
+    w = 1.0 - s - c
     busy = np.zeros(n0.shape[0], dtype=bool)
-    probs = _solve_modes(gamma, s, c, n0, ntask, sup, busy)
-    if _certified(w, gamma, n0, ntask, probs):
-        return probs
+    if probs is None:
+        # Warm start: every task to its cheapest group(s), everyone idling.
+        cost = np.where((n0 > 0)[:, None], c, np.inf)
+        cmin = cost.min(axis=0)
+        sup = (cost == cmin) & (gamma * (1.0 - s) - ntask - gamma * cmin > 0.0)
+        probs = _solve_modes(gamma, s, c, n0, ntask, sup, busy)
+        if _certified(w, gamma, n0, ntask, probs):
+            return probs
 
     rows = np.flatnonzero(n0 > 0).tolist()
     val, gam, cap = (gamma * w).tolist(), gamma.tolist(), n0.tolist()
@@ -579,6 +604,97 @@ def _equilibrium(gamma, s, c, n0, ntask):
     raise AllocationError(f"best response did not converge in {_MAX_SWEEPS} sweeps")
 
 
+def _row_sum(xs):
+    """Sum of a list in the order ndarray.sum(axis=1) uses for rows of up
+    to 128 entries (numpy's pairwise sum: one running total below 8
+    entries, else eight interleaved accumulators), so float rounds round
+    their row sums exactly as the array code does.  Their rows have at
+    most _SMALL_CELLS <= 128 entries.
+    """
+    n = len(xs)
+    if n < 8:
+        total = -0.0
+        for x in xs:
+            total += x
+        return total
+    stop = n - n % 8
+    acc = xs[:8]
+    for i in range(8, stop, 8):
+        acc = [a + x for a, x in zip(acc, xs[i:i + 8])]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for x in xs[stop:]:
+        total += x
+    return total
+
+
+def _allocate_small(instance: ProblemInstance) -> list[list[float]]:
+    """allocate's round in plain floats; returns the (g, M+1) rows.
+
+    The same float operations in the same order as the array code:
+    _merge_groups, the warm start of _equilibrium, the KKT test of
+    _certified and the row assembly of _allocate_arrays.  Only the load sums
+    n0 @ probs may add in another order than BLAS does, which moves a
+    KKT residual by an ulp, far inside _CERT_TOL.  A warm start that
+    fails the test hands its masses to _equilibrium's sweeps.
+    """
+    gamma, s = instance.gamma.tolist(), instance.signals.tolist()
+    counts = instance.counts.tolist()
+    costs = instance.costs
+    g, m = costs.shape
+    raw, width = costs.tobytes(), costs.itemsize * m
+    cost_rows = costs.tolist()
+    index_of, merged_idx, c, n0 = {}, [], [], []
+    for i in range(g):
+        j = index_of.setdefault(raw[i * width:(i + 1) * width], len(c))
+        if j == len(c):
+            c.append(cost_rows[i])
+            n0.append(0)
+        n0[j] += counts[i][0]
+        merged_idx.append(j)
+    n0 = [float(n) for n in n0]
+    ntask = [float(sum(col)) for col in list(zip(*counts))[1:]]
+
+    probs = [[0.0] * m for _ in c]
+    live = [j for j, n in enumerate(n0) if n > 0.0]
+    if live:
+        dots = [0.0] * m
+        for k in range(m):
+            cmin = min(c[j][k] for j in live)
+            target = gamma[k] * (1.0 - s[k]) - ntask[k]
+            if target - gamma[k] * cmin > 0.0:
+                sup = [j for j in live if c[j][k] == cmin]
+                pool = 0.0
+                for j in sup:
+                    pool += n0[j]
+                shared = (target - gamma[k] * cmin) / pool
+                for j in sup:
+                    probs[j][k] = shared
+                    dots[k] += n0[j] * shared
+        quote = [(nk + dk) / gk for nk, dk, gk in zip(ntask, dots, gamma)]
+        free = [1.0 - sk for sk in s]
+        for row, cj, nj in zip(probs, c, n0):
+            util = [fk - ck - qk for fk, ck, qk in zip(free, cj, quote)]
+            best = max(max(util), 0.0)
+            mass = _row_sum(row)
+            if (mass > 1.0 + EPS_ZERO
+                    or (mass < 1.0 - EPS_ZERO and best > _CERT_TOL and nj > 0.0)
+                    or any(p > EPS_ZERO and best - u > _CERT_TOL for p, u in zip(row, util))):
+                probs = _equilibrium(instance.gamma, instance.signals, np.array(c),
+                                     np.array(n0), np.array(ntask), np.array(probs)).tolist()
+                break
+
+    out = []
+    for i in range(g):
+        if counts[i][0] > 0:
+            row = [0.0 if abs(p) < EPS_ZERO else 1.0 if abs(p - 1.0) < EPS_ZERO else p
+                   for p in probs[merged_idx[i]]]
+            p0 = 1.0 - _row_sum(row)
+            out.append([0.0 if abs(p0) < EPS_ZERO else p0, *row])
+        else:
+            out.append([1.0] + [0.0] * m)
+    return out
+
+
 def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResult:
     """Equilibrium assignment probabilities for one allocation round.
 
@@ -597,10 +713,25 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
        Where ties make the equations singular, the sweep iterate is
        returned as soon as it passes the test itself.
 
+    Rounds of at most _SMALL_CELLS cells (g x M) run the merge, step 1
+    and the row assembly in plain floats, bit-identical to the array
+    code, and hand a warm start that fails the KKT test to the array
+    code's sweeps; larger rounds run in array code throughout.
+
     Groups without idle robots get degenerate idle rows.  With `check`
     the returned strategy is certified by the independent oracle.
     Raises AllocationError only if the sweeps reach their cap.
     """
+    if instance.costs.size <= _SMALL_CELLS:
+        strategy = MixedStrategy(np.array(_allocate_small(instance)))
+    else:
+        strategy = MixedStrategy(_allocate_arrays(instance))
+    report = verify_equilibrium(instance, strategy) if check else None
+    return AllocationResult(strategy, report)
+
+
+def _allocate_arrays(instance: ProblemInstance) -> np.ndarray:
+    """allocate's round in array code; returns the (g, M+1) rows."""
     m, g = instance.n_tasks, instance.n_groups
     merged_idx, merged_counts, c = _merge_groups(instance.costs, instance.counts)
     n0 = merged_counts[:, 0].astype(float)
@@ -617,9 +748,7 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
     p0 = 1.0 - rows.sum(axis=1)
     probs[deciding, 0] = np.where(np.abs(p0) < EPS_ZERO, 0.0, p0)
     probs[deciding, 1:] = rows
-    strategy = MixedStrategy(probs)
-    report = verify_equilibrium(instance, strategy) if check else None
-    return AllocationResult(strategy, report)
+    return probs
 
 
 # ---------------------------------------------------------------------------

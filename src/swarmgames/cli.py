@@ -29,7 +29,6 @@ import yaml
 from .allocation import (
     EPS_ZERO,
     AllocationError,
-    NoIdleRobots,
     ProblemInstance,
     allocate,
 )
@@ -119,8 +118,6 @@ def cmd_allocate(args) -> int:
         return _fail(str(exc), 1)
     try:
         result = allocate(instance, check=True)
-    except NoIdleRobots as exc:
-        return _fail(f"{args.instance}: {exc}", 1)
     except AllocationError as exc:
         return _fail(f"equilibrium search failed: {exc}", 2)
     write_strategy_csv(result.strategy, args.out)
@@ -300,10 +297,13 @@ def write_summary_csv(summary: CampaignSummary, path: str) -> None:
     _atomic_write(path, writer)
 
 
-def format_summary(summary: CampaignSummary) -> str:
+def format_summary(summary: CampaignSummary, deadlocked: int) -> str:
+    """Human-readable campaign summary; `deadlocked` counts the runs that
+    ended in total deadlock."""
     lines = [
         f"runs                  {summary.runs}",
         f"energy failures       {summary.energy_failures}",
+        f"deadlocked runs       {deadlocked}",
         f"incomplete deliveries {summary.incomplete}",
     ]
     if summary.robot_steps:
@@ -367,9 +367,10 @@ def cmd_montecarlo(args) -> int:
     except AllocationError as exc:
         return _fail(f"equilibrium search failed: {exc}", 2)
     summary = summarize_runs(stats)
+    deadlocked = sum(1 for row in stats if row["failure"] == DEADLOCKED)
     write_runs_csv(stats, os.path.join(args.out, "runs.csv"))
     write_summary_csv(summary, os.path.join(args.out, "summary.csv"))
-    text = format_summary(summary)
+    text = format_summary(summary, deadlocked)
 
     def write_text(tmp):
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -378,7 +379,6 @@ def cmd_montecarlo(args) -> int:
     _atomic_write(os.path.join(args.out, "summary.txt"), write_text)
     print(text, end="")
     print(f"campaign artifacts -> {args.out}")
-    deadlocked = sum(1 for row in stats if row["failure"] == DEADLOCKED)
     if deadlocked:
         return _fail(f"FAILURE: {DEADLOCKED} in {deadlocked} of {len(stats)} runs", 4)
     return 0

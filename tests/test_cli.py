@@ -77,6 +77,17 @@ def test_allocate_rejects_out_of_range_signal(tmp_path, capsys):
     assert "signals" in capsys.readouterr().err
 
 
+def test_allocate_rejects_nan_signal(tmp_path, capsys):
+    # NaN compares false against both bounds; it is malformed input, not
+    # a strategy for the oracle to reject
+    inst = tmp_path / "inst.yaml"
+    inst.write_text("gamma: [2]\nsignals: [.nan]\ncosts: [[0]]\ncounts: [[1, 0]]\n")
+    out = tmp_path / "s.csv"
+    assert main(["allocate", str(inst), "--out", str(out)]) == 1
+    assert "signals" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_allocate_missing_file_exits_1(tmp_path):
     assert main(["allocate", str(tmp_path / "nope.yaml"),
                  "--out", str(tmp_path / "s.csv")]) == 1
@@ -231,6 +242,7 @@ def test_montecarlo_writes_all_artifacts(tmp_path):
                      "runs.csv", "summary.csv", "summary.txt"]
     text = (out / "summary.txt").read_text()
     assert "runs                  3" in text
+    assert "deadlocked runs       0" in text
 
 
 def test_montecarlo_summary_recomputable_from_run_artifacts(tmp_path):
@@ -285,7 +297,7 @@ def test_montecarlo_records_total_deadlock(tmp_path, capsys):
     assert [(r["failure"], r["steps"]) for r in runs] == [("Deadlocked", 1)] * 2
     # every artifact is written before the failing exit
     assert parse_summary_csv(out / "summary.csv").runs == 2
-    assert (out / "summary.txt").exists()
+    assert "deadlocked runs       2" in (out / "summary.txt").read_text()
     assert no_tmp_litter(out)
 
 
