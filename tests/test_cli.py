@@ -169,6 +169,15 @@ def test_sim_bad_override_exits_1(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["n_robots=2.5", "colony.n_sources=2.5",
+                                      "events.2.amount=2.5"])
+def test_sim_fractional_count_exits_1(tmp_path, capsys, override):
+    out = tmp_path / "o.csv"
+    assert main(["sim", "--scenario", "colony", "--set", override, "--out", str(out)]) == 1
+    assert "must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sim_dotted_event_override(tmp_path):
     out = tmp_path / "ev.csv"
     assert main(["sim", "--scenario", "colony", "--seed", "0",

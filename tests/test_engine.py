@@ -7,19 +7,15 @@ import random
 import pytest
 
 from swarmgames.scenarios import Event, colony_default, monitoring_default
-from swarmgames.sim import (
-    DEADLOCKED,
-    IDLE_AT_BASE,
+from swarmgames.sim import DEADLOCKED, build_world, run, step
+from swarmgames.sim.colony import (
     RETURN_HOME,
-    RobotState,
-    build_world,
     colony_energy_step,
-    node_information_step,
     random_walk_step,
     robot_energy_step,
-    run,
-    step,
 )
+from swarmgames.sim.engine import IDLE_AT_BASE, RobotState
+from swarmgames.sim.monitoring import node_information_step
 
 COLONY_BEHAVIORS = {
     "IdleAtBase", "RandomWalkTarget", "ApproachItem", "ReturnHome",
@@ -119,8 +115,8 @@ def test_build_world_places_robots_in_colony_with_separation():
 def test_build_world_scatters_sources_over_annulus():
     cfg = colony_default()
     world = build_world(cfg, seed=11)
-    assert len(world.sources) == cfg.colony.n_sources
-    for x, y in world.sources.values():
+    assert len(world.dyn.sources) == cfg.colony.n_sources
+    for x, y in world.dyn.sources.values():
         norm = math.hypot(x, y)
         assert cfg.colony.R_i - 1e-9 <= norm <= cfg.colony.R_o + 1e-9
 
@@ -130,8 +126,8 @@ def test_build_world_is_seed_deterministic():
     b = build_world(colony_default(), seed=5)
     c = build_world(colony_default(), seed=6)
     assert [(r.x, r.y) for r in a.robots] == [(r.x, r.y) for r in b.robots]
-    assert a.sources == b.sources
-    assert a.sources != c.sources
+    assert a.dyn.sources == b.dyn.sources
+    assert a.dyn.sources != c.dyn.sources
 
 
 def test_monitoring_world_starts_on_idle_ring():
@@ -142,7 +138,7 @@ def test_monitoring_world_starts_on_idle_ring():
     for robot in world.robots:
         assert math.hypot(robot.x - cx, robot.y - cy) == pytest.approx(
             cfg.monitoring.idle_ring, abs=1e-12)
-    assert world.R == [0.0] * 5
+    assert world.dyn.R == [0.0] * 5
 
 
 # -- event timing ------------------------------------------------------
@@ -173,8 +169,9 @@ def test_removal_keeps_cargo_accounted():
     for _ in range(2400):
         step(world, cfg, cfg.dt)
     in_transit = sum(1 for r in world.robots if r.payload == "cargo")
-    assert world.depot_stock + in_transit + world.delivered_cargo == world.injected_cargo
-    assert world.injected_cargo == 20
+    dyn = world.dyn
+    assert dyn.depot_stock + in_transit + dyn.delivered_cargo == dyn.injected_cargo
+    assert dyn.injected_cargo == 20
 
 
 # -- run-level invariants ----------------------------------------------
@@ -224,6 +221,13 @@ def test_colony_conservation_residual_tiny():
     assert metrics.max_conservation_residual <= 1e-9
 
 
+def test_zero_step_colony_run_reports_start_energy():
+    # t_final below half a step rounds to no steps at all
+    metrics = run(dataclasses.replace(colony_default(), t_final=0.04), seed=0)
+    assert metrics.rows == []
+    assert metrics.final_energy == colony_default().colony.E_start
+
+
 def test_colony_run_is_deterministic():
     cfg = dataclasses.replace(colony_default(), t_final=180.0)
     a = run(cfg, seed=12)
@@ -245,12 +249,12 @@ def test_monitoring_information_bounds_and_release():
     drained = False
     for _ in range(600):
         step(world, cfg, cfg.dt)
-        for value in world.R:
+        for value in world.dyn.R:
             assert -1e-12 <= value <= cfg.monitoring.R_max + 1e-12
         for robot in world.robots:
             if robot.assigned_task == 0:
                 assert robot.behavior == IDLE_AT_BASE
-        if any(v == 0.0 for v in world.R):
+        if any(v == 0.0 for v in world.dyn.R):
             drained = True
     assert drained, "no node was ever fully serviced"
 

@@ -156,6 +156,17 @@ def test_validation_catches_inconsistencies():
         MonitoringParams(B=0.0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "3"])
+def test_counts_must_be_integers(bad):
+    with pytest.raises(ScenarioError, match="n_robots must be an integer"):
+        ScenarioConfig(kind="colony", n_robots=bad, gamma=(12.0, 7.2), v_max=1.0,
+                       r=0.25, t_final=600.0, colony=ColonyParams())
+    with pytest.raises(ScenarioError, match="n_sources must be an integer"):
+        ColonyParams(n_sources=bad)
+    with pytest.raises(ScenarioError, match="amount must be an integer"):
+        Event(time=1.0, kind="robot_removal", amount=bad)
+
+
 def test_defaults_make_valid_problem_instances():
     import numpy as np
 
