@@ -49,6 +49,7 @@ independent of the solver, that needs one load vector and one
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 
@@ -67,6 +68,8 @@ __all__ = [
     "AllocationResult",
     "expected_task_count",
     "expected_utility",
+    "assignment_cdf",
+    "draw_action",
     "sample_assignment",
     "allocate",
     "verify_equilibrium",
@@ -140,15 +143,20 @@ class ProblemInstance:
         object.__setattr__(self, "counts", counts.astype(np.int64))
 
     @classmethod
-    def single_group(cls, gamma, signals, idle, assigned=None, costs=None):
-        """Convenience constructor for a one-group (homogeneous) instance."""
-        gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-        m = gamma.shape[0]
-        assigned = np.zeros(m, dtype=int) if assigned is None else np.atleast_1d(assigned)
-        costs = np.zeros(m) if costs is None else np.atleast_1d(costs)
-        counts = np.concatenate(([int(idle)], np.asarray(assigned, dtype=int)))
-        return cls(gamma, np.asarray(signals, dtype=float), costs.reshape(1, m),
-                   counts.reshape(1, m + 1))
+    def _trusted(cls, gamma, signals, costs, counts):
+        """Instance from arrays already in the form __post_init__ produces.
+
+        float64 gamma (M,), signals (M,) and costs (g, M), int64 counts
+        (g, M+1), each inside the ranges __post_init__ checks.  Nothing
+        is converted or checked: the simulation builds an instance every
+        step from a scenario config validated once at load.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "signals", signals)
+        object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "counts", counts)
+        return self
 
     @property
     def n_tasks(self) -> int:
@@ -245,20 +253,42 @@ def expected_utility(instance: ProblemInstance, strategy: MixedStrategy,
     return float((gamma - expected) / gamma - instance.signals[k] - instance.costs[i, k])
 
 
-def sample_assignment(strategy: MixedStrategy, i: int, u: float) -> int:
-    """Inverse-CDF draw over actions (0, 1, ..., M) for group i.
+def assignment_cdf(strategy: MixedStrategy, i: int) -> tuple[list[float], int]:
+    """Group i's inverse-CDF table for `draw_action`.
 
-    Returns the first action whose cumulative probability exceeds u.
+    The edges are the running maximum of the cumulative probabilities of
+    actions 0..M, so they ascend even if float dust makes a probability
+    negative, and the first edge above u is the first cumulative sum
+    above u.  The second entry is the last action with positive
+    probability, the draw for a u past every edge.
     """
+    edges = []
     acc = 0.0
+    top = -math.inf
     last_positive = 0
     for a, p in enumerate(strategy.probs[i].tolist()):
         if p > 0.0:
             last_positive = a
         acc += p
-        if u < acc:
-            return a
-    return last_positive  # u fell into rounding dust past the last edge
+        if acc > top:
+            top = acc
+        edges.append(top)
+    return edges, last_positive
+
+
+def draw_action(cdf: tuple[list[float], int], u: float) -> int:
+    """The first action whose cumulative probability exceeds u."""
+    edges, last_positive = cdf
+    a = bisect.bisect_right(edges, u)
+    return a if a < len(edges) else last_positive  # u fell into rounding dust
+
+
+def sample_assignment(strategy: MixedStrategy, i: int, u: float) -> int:
+    """Inverse-CDF draw over actions (0, 1, ..., M) for group i.
+
+    Returns the first action whose cumulative probability exceeds u.
+    """
+    return draw_action(assignment_cdf(strategy, i), u)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,10 @@ conservatism when affine rows are active.
 
 Everything here is plain scalar arithmetic on purpose: the filter runs
 once per robot per timestep and sits on the simulation's hot path.
+Most calls end in the pass-through, where the speed-clipped reference
+satisfies every row; `filter_velocity` tests that row by row inline,
+with the same arithmetic as the row builder, and builds the rows only
+when one is violated.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ _FACETS = [(math.cos(2.0 * math.pi * j / N_FACETS),
 _TOL = 1e-9
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class VelocityQP:
     """One robot's velocity-filtering problem for one timestep.
 
@@ -133,13 +137,24 @@ def filter_velocity(qp: VelocityQP):
         cx, cy = vx * scale, vy * scale
     else:
         cx, cy = vx, vy
-    rows = _affine_rows(qp)
-    for ax, ay, b in rows:
-        if ax * cx + ay * cy - b > _TOL:
-            break
-    else:
-        return (cx, cy), False
+    # pass-through: test each row of _affine_rows inline, with its exact
+    # arithmetic, and build the rows only if one of them is violated
+    px, py = qp.position
+    gap = 2.0 * px * cx + 2.0 * py * cy - qp.alpha * (qp.R_o * qp.R_o - (px * px + py * py))
+    if not gap > _TOL:
+        half_vmax = 0.5 * qp.v_max
+        half_alpha = 0.5 * qp.alpha_c
+        rr = qp.r * qp.r
+        for nx, ny in qp.neighbor_positions:
+            dx = px - nx
+            dy = py - ny
+            dd = dx * dx + dy * dy
+            if -dx * cx + -dy * cy - (half_alpha * (dd - rr) - half_vmax * math.sqrt(dd)) > _TOL:
+                break
+        else:
+            return (cx, cy), False
 
+    rows = _affine_rows(qp)
     best = _best_candidate(rows, vx, vy)
     if best is not None and math.hypot(*best) <= qp.v_max + 1e-12:
         return best, False

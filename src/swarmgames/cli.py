@@ -238,14 +238,14 @@ class CampaignSummary:
     robot_steps: int
 
 
-def _run_stats(metrics, seed: int, cargo_goal: int) -> dict:
+def _run_stats(metrics, seed: int) -> dict:
     return {
         "seed": seed,
         "steps": len(metrics.rows),
         "failure": metrics.failure or "",
         "final_energy": metrics.final_energy,
         "all_cargo_delivered_time": metrics.all_cargo_delivered_time,
-        "incomplete": int(cargo_goal > 0 and metrics.all_cargo_delivered_time is None),
+        "incomplete": int(metrics.cargo_incomplete),
         "deadlock_robot_steps": metrics.deadlock_robot_steps,
         "robot_steps": metrics.robot_steps,
         "max_conservation_residual": metrics.max_conservation_residual,
@@ -327,8 +327,7 @@ def _campaign_worker(item) -> dict:
     config = from_mapping(mapping)
     metrics = run(config, seed)
     _atomic_write(os.path.join(out_dir, f"run_{seed}.csv"), metrics.write_csv)
-    cargo_goal = sum(e.amount for e in config.events if e.kind == "cargo_delivery")
-    return _run_stats(metrics, seed, cargo_goal)
+    return _run_stats(metrics, seed)
 
 
 def write_runs_csv(stats: list[dict], path: str) -> None:

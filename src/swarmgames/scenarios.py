@@ -57,8 +57,8 @@ class Event:
     def __post_init__(self):
         if self.kind not in ("cargo_delivery", "robot_removal"):
             raise ScenarioError(f"unknown event kind {self.kind!r}")
-        if self.time < 0:
-            raise ScenarioError("event time must be >= 0")
+        if not 0 <= self.time < math.inf:
+            raise ScenarioError("event time must be finite and >= 0")
         if not _is_int(self.amount):
             raise ScenarioError("event amount must be an integer")
         if self.amount <= 0:
@@ -90,18 +90,19 @@ class ColonyParams:
 
     def __post_init__(self):
         object.__setattr__(self, "depot", _point(self.depot, "colony.depot"))
-        if not (0 < self.R_i < self.R_o):
-            raise ScenarioError("need 0 < R_i < R_o")
+        if not (0 < self.R_i < self.R_o < math.inf):
+            raise ScenarioError("need 0 < R_i < R_o, both finite")
         for name in ("h", "E_max", "E_drain", "E_source", "depot_wait",
                      "arrive_radius", "min_separation"):
-            if getattr(self, name) <= 0:
-                raise ScenarioError(f"colony.{name} must be positive")
-        if self.E_start <= 0 or self.E_start > self.E_max:
+            if not _positive(getattr(self, name)):
+                raise ScenarioError(f"colony.{name} must be finite and positive")
+        if not 0 < self.E_start <= self.E_max:
             raise ScenarioError("need 0 < E_start <= E_max")
         if not _is_int(self.n_sources):
             raise ScenarioError("colony.n_sources must be an integer")
-        if self.c_max <= 0 or self.n_sources < 0 or self.return_noise < 0:
-            raise ScenarioError("colony counts/noise out of range")
+        if not (_positive(self.c_max) and self.n_sources >= 0
+                and 0 <= self.return_noise < math.inf):
+            raise ScenarioError("colony counts/noise out of range or not finite")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,10 +127,11 @@ class MonitoringParams:
             self, "nodes",
             tuple(_point(p, f"monitoring.nodes[{i}]") for i, p in enumerate(self.nodes)))
         object.__setattr__(self, "idle_point", _point(self.idle_point, "monitoring.idle_point"))
-        if self.D <= 0 or self.A < 0 or self.B <= 0 or self.R_max <= 0:
-            raise ScenarioError("monitoring rates out of range")
-        if self.idle_ring <= 0 or self.service_radius <= 0:
-            raise ScenarioError("monitoring radii must be positive")
+        if not (_positive(self.D) and 0 <= self.A < math.inf and _positive(self.B)
+                and _positive(self.R_max)):
+            raise ScenarioError("monitoring rates out of range or not finite")
+        if not (_positive(self.idle_ring) and _positive(self.service_radius)):
+            raise ScenarioError("monitoring radii must be finite and positive")
 
 
 def _pentagon():
@@ -147,12 +149,20 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _positive(value):
+    # NaN fails both comparisons, so this also rejects NaN
+    return 0 < value < math.inf
+
+
 def _point(value, where):
     try:
         x, y = value
-        return (float(x), float(y))
+        point = (float(x), float(y))
     except (TypeError, ValueError):
         raise ScenarioError(f"{where} must be a 2-point") from None
+    if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+        raise ScenarioError(f"{where} must be finite")
+    return point
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,11 +197,14 @@ class ScenarioConfig:
             raise ScenarioError("n_robots must be an integer")
         if self.n_robots < 1:
             raise ScenarioError("n_robots must be >= 1")
-        if not self.gamma or any(g <= 0 for g in self.gamma):
-            raise ScenarioError("gamma entries must be positive")
+        if not self.gamma or not all(_positive(g) for g in self.gamma):
+            raise ScenarioError("gamma entries must be finite and positive")
         for name in ("v_max", "r", "t_final", "dt", "alpha", "alpha_c"):
-            if getattr(self, name) <= 0:
-                raise ScenarioError(f"{name} must be positive")
+            if not _positive(getattr(self, name)):
+                raise ScenarioError(f"{name} must be finite and positive")
+        # times become step counts by round(time / dt)
+        if not all(t / self.dt < math.inf for t in (self.t_final, *(e.time for e in self.events))):
+            raise ScenarioError("t_final and event times must be a finite number of steps")
         if self.kind == "colony":
             if self.colony is None or self.monitoring is not None:
                 raise ScenarioError("colony scenario needs exactly the colony section")

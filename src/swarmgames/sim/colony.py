@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
+
 from ..allocation import ProblemInstance
 from ..scenarios import ScenarioConfig, ScenarioError
 from .engine import IDLE_AT_BASE, RobotState, toward
@@ -95,6 +97,10 @@ class ColonyDynamics:
                         "n_idle", "n_task1", "n_task2", "min_dist")
         self.domain_center = (0.0, 0.0)
         self.domain_radius = self.p.R_o
+        # the instance's constant parts, shared read-only by every step
+        self.gamma = np.array(config.gamma)
+        self.costs = np.zeros((1, len(config.gamma)))
+        self.gamma.flags.writeable = self.costs.flags.writeable = False
         self.E_c = self.p.E_start
         self.depot_stock = 0
         self.delivered_cargo = 0
@@ -141,6 +147,7 @@ class ColonyDynamics:
             self.sources[sid] = (radius * math.cos(theta), radius * math.sin(theta))
         # a run that stops before its first step still reports the store
         world.metrics.final_energy = self.E_c
+        world.metrics.cargo_incomplete = self.cargo_goal > 0
 
     # -- events and continuous dynamics ---------------------------------
 
@@ -179,8 +186,8 @@ class ColonyDynamics:
         counts = [0, 0, 0]
         for robot in world.robots:
             counts[robot.assigned_task] += 1
-        instance = ProblemInstance.single_group(
-            self.config.gamma, world.signals, counts[0], counts[1:])
+        instance = ProblemInstance._trusted(self.gamma, np.array(world.signals), self.costs,
+                                            np.array([counts], dtype=np.int64))
         return instance, {robot.id: 0 for robot in world.robots}
 
     # -- behaviors -------------------------------------------------------
@@ -339,5 +346,6 @@ class ColonyDynamics:
         if (self.cargo_done_at is None and self.cargo_goal > 0
                 and self.delivered_cargo >= self.cargo_goal):
             self.cargo_done_at = world.clock
+            world.metrics.cargo_incomplete = False
         return (world.clock, self.E_c, self.prev_E_sys, self.depot_stock,
                 counts[0], counts[1], counts[2], min_dist)

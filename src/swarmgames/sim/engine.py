@@ -15,21 +15,28 @@ run down to the last bit.
 
 Spatial queries are x-sorted sweeps (sort and sweep, as in the
 I-COLLIDE broad phase).  Points are sorted by x; each point scans
-forward and stops once the x gap alone rules a pair out, so a step
+forward and stops once the x gap alone rules a pair out, so a sweep
 costs about n log n plus the pairs that overlap in x instead of n^2.
-Two sweeps run per step:
+One sweep runs per step, `neighbor_sweep` on the post-move positions:
 
-- Neighbour lists on pre-move positions.  The stop test is
-  dx*dx > cutoff^2, which implies dx*dx + dy*dy > cutoff^2 in floating
-  point too.  Each list is sorted back into ascending robot id, the
-  order an all-pairs loop gives, because the filter enumerates
-  candidate vertices in neighbour order and ties between equally near
-  candidates go to the first one.
-- `min_dist` on post-move positions.  The sweep keeps the smallest
-  squared distance found so far and stops once dx**2 alone reaches it.
-  Every pair it does evaluate uses the same expression as an all-pairs
-  loop, and every pair it skips is no smaller, so the minimum is the
-  same float.
+- It returns the neighbour lists.  The stop test is dx*dx > cutoff^2,
+  which implies dx*dx + dy*dy > cutoff^2 in floating point too.  Each
+  list is sorted back into ascending robot id, the order an all-pairs
+  loop gives, because the filter enumerates candidate vertices in
+  neighbour order and ties between equally near candidates go to the
+  first one.
+- The lists serve the next step's filter: robots do not move between
+  one step's end and the next step's filter.  They are reused only
+  when the positions the filter sees equal the swept ones, value by
+  value, and the cutoff is the same.  A run's first step, a removal
+  event, or a caller that moves robots between steps gets a fresh
+  sweep.
+- It returns `min_dist`, measured on post-move positions.  The minimum
+  is taken with `** 2`, as `min_pair_distance` and the min_dist column
+  always have, not with a product: the two can differ in the last bit.
+  Only the neighbour pairs are evaluated; a skipped pair lies at least
+  the cutoff apart, so when no pair lies clearly inside the cutoff the
+  sweep falls back to `min_pair_distance` over all points.
 
 Total deadlock ends a run: when every live robot is flagged deadlocked
 in one step, `world.failure` becomes DEADLOCKED.  A robot deadlocks
@@ -55,6 +62,11 @@ hooks, called in this order:
   `check_conservation(world)`, `check_failure(world)` and
   `metrics_row(world, counts, min_dist)`;
 - `cargo_done_time(world)`, once from `run`.
+
+`build_instance` builds its `ProblemInstance` through the trusted
+constructor, which skips validation: every value it uses comes from a
+`ScenarioConfig`, whose numbers are checked finite and in range once at
+load, or from state the scenario keeps inside those ranges.
 """
 
 from __future__ import annotations
@@ -63,7 +75,7 @@ import dataclasses
 import math
 import random
 
-from ..allocation import allocate, sample_assignment
+from ..allocation import allocate, assignment_cdf, draw_action
 from ..cbf import VelocityQP, filter_velocity
 from ..scenarios import ScenarioConfig
 
@@ -74,7 +86,7 @@ __all__ = [
     "WorldState",
     "RunMetrics",
     "toward",
-    "neighbor_indices",
+    "neighbor_sweep",
     "min_pair_distance",
     "build_world",
     "step",
@@ -83,6 +95,9 @@ __all__ = [
 
 IDLE_AT_BASE = "IdleAtBase"
 DEADLOCKED = "Deadlocked"
+
+# a squared distance below cutoff_sq * _INSIDE is clearly inside the cutoff
+_INSIDE = 1.0 - 1e-9
 
 
 @dataclasses.dataclass(slots=True)
@@ -115,7 +130,8 @@ class RunMetrics:
     `rows` matches `columns` one tuple per completed step.  Deadlock
     flags stay in memory (they are not a CSV column): `deadlock_flags`
     has one bool per step, and `deadlock_robot_steps` counts individual
-    robot flags against `robot_steps` total.
+    robot flags against `robot_steps` total.  `cargo_incomplete` is set
+    while a run's cargo goal is unmet; the colony keeps it.
     """
 
     columns: tuple
@@ -128,6 +144,7 @@ class RunMetrics:
     failure: str | None = None
     final_energy: float | None = None
     all_cargo_delivered_time: float | None = None
+    cargo_incomplete: bool = False
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -156,6 +173,7 @@ class WorldState:
     metrics: RunMetrics
     dyn: object
     failure: str | None = None
+    swept: tuple | None = None      # (positions, cutoff_sq, neighbour lists) of the last sweep
 
 
 def toward(robot: RobotState, tx: float, ty: float, dt: float, v_max: float) -> tuple:
@@ -173,15 +191,20 @@ def toward(robot: RobotState, tx: float, ty: float, dt: float, v_max: float) -> 
 # spatial queries: x-sorted sweeps
 
 
-def neighbor_indices(points: list, cutoff_sq: float) -> list:
-    """For each point, the indices of the others within the cutoff.
+def neighbor_sweep(points: list, cutoff_sq: float) -> tuple[list, float]:
+    """Neighbour lists within the cutoff and the smallest pair distance.
 
-    A pair is in when dx*dx + dy*dy <= cutoff_sq.  Each list is in
-    ascending index order, the order an all-pairs loop would give.
+    A pair is a neighbour pair when dx*dx + dy*dy <= cutoff_sq, and each
+    list is in ascending index order, the order an all-pairs loop would
+    give.  The distance equals `min_pair_distance(points)`: the sweep
+    takes the minimum over the neighbour pairs with its `** 2`
+    expression, and falls back to it when no pair lies clearly inside
+    the cutoff, since the pairs the sweep skips may then be the closest.
     """
     n = len(points)
     order = sorted(range(n), key=points.__getitem__)
     lists = [[] for _ in range(n)]
+    best = math.inf
     for a in range(n):
         i = order[a]
         xi, yi = points[i]
@@ -196,9 +219,16 @@ def neighbor_indices(points: list, cutoff_sq: float) -> list:
             if dxx + dy * dy <= cutoff_sq:
                 lists[i].append(j)
                 lists[j].append(i)
+                dd = dx ** 2 + dy ** 2
+                if dd < best:
+                    best = dd
     for nbrs in lists:
         nbrs.sort()
-    return lists
+    # a skipped pair has dx*dx > cutoff_sq, and dx**2 is within an ulp of
+    # that product, so a minimum this far inside the cutoff beats it
+    if best < cutoff_sq * _INSIDE:
+        return lists, math.sqrt(best)
+    return lists, min_pair_distance(points)
 
 
 def min_pair_distance(points: list) -> float:
@@ -269,9 +299,13 @@ def step(world: WorldState, config: ScenarioConfig, dt: float) -> WorldState:
     if idle:
         instance, row_of = dyn.build_instance(world)
         strategy = allocate(instance, check=False).strategy
+        cdfs = {}
         for robot in idle:
-            u = world.rng_assign[robot.id].random()
-            action = sample_assignment(strategy, row_of[robot.id], u)
+            row = row_of[robot.id]
+            cdf = cdfs.get(row)
+            if cdf is None:
+                cdf = cdfs[row] = assignment_cdf(strategy, row)
+            action = draw_action(cdf, world.rng_assign[robot.id].random())
             if action:
                 robot.assigned_task = action
 
@@ -282,17 +316,20 @@ def step(world: WorldState, config: ScenarioConfig, dt: float) -> WorldState:
     # 4r is enough at colony speeds; the second term keeps a closing
     # pair from crossing the whole cutoff in one step at higher v_max
     cutoff = max(4.0 * config.r, 2.0 * config.v_max * dt + 2.0 * config.r)
-    neighbors = neighbor_indices(positions, cutoff * cutoff)
+    cutoff_sq = cutoff * cutoff
+    # the last step's closing sweep holds for these positions unless a
+    # removal or an outside change moved them since
+    swept = world.swept
+    if swept is not None and swept[1] == cutoff_sq and swept[0] == positions:
+        neighbors = swept[2]
+    else:
+        neighbors = neighbor_sweep(positions, cutoff_sq)[0]
 
-    center = dyn.domain_center
-    radius = dyn.domain_radius
+    cx, cy = dyn.domain_center
+    relative = [(x - cx, y - cy) for x, y in positions]
+    limits = (config.v_max, config.r, dyn.domain_radius, config.alpha, config.alpha_c)
     for i, robot in enumerate(world.robots):
-        qp = VelocityQP(
-            v_refs[i],
-            (robot.x - center[0], robot.y - center[1]),
-            [(positions[j][0] - center[0], positions[j][1] - center[1])
-             for j in neighbors[i]],
-            config.v_max, config.r, radius, config.alpha, config.alpha_c)
+        qp = VelocityQP(v_refs[i], relative[i], [relative[j] for j in neighbors[i]], *limits)
         (vx, vy), deadlock = filter_velocity(qp)
         robot.deadlock = deadlock
         robot.x += vx * dt
@@ -318,9 +355,12 @@ def step(world: WorldState, config: ScenarioConfig, dt: float) -> WorldState:
     counts = [0] * (config.n_tasks + 1)
     for robot in world.robots:
         counts[robot.assigned_task] += 1
-    # measured on post-move positions: this is the separation that was
-    # actually executed this step
-    min_dist = min_pair_distance([(r.x, r.y) for r in world.robots])
+    # one sweep over the post-move positions: min_dist is the separation
+    # actually executed this step, and the neighbour lists serve the
+    # next step's filter
+    moved = [(r.x, r.y) for r in world.robots]
+    neighbors, min_dist = neighbor_sweep(moved, cutoff_sq)
+    world.swept = (moved, cutoff_sq, neighbors)
     metrics.rows.append(dyn.metrics_row(world, counts, min_dist))
     return world
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..allocation import ProblemInstance
 from ..scenarios import ScenarioConfig
 from .engine import IDLE_AT_BASE, RobotState, toward
@@ -53,6 +55,11 @@ class MonitoringDynamics:
             for i in range(n)
         ]
         self.R = [0.0] * m      # information held at each node
+        # shared read-only by every step's instance
+        self.gamma = np.array(config.gamma)
+        self.gamma.flags.writeable = False
+        # row a: the counts row of a robot whose action is a
+        self.count_rows = np.eye(m + 1, dtype=np.int64)
 
     # -- setup ---------------------------------------------------------
 
@@ -87,18 +94,14 @@ class MonitoringDynamics:
 
     def build_instance(self, world):
         """One singleton group per robot: costs depend on its position."""
-        m = len(self.config.gamma)
-        costs = []
-        counts = []
-        row_of = {}
-        for row, robot in enumerate(world.robots):
-            costs.append([math.hypot(nx - robot.x, ny - robot.y) / self.p.D
-                          for nx, ny in self.p.nodes])
-            row_counts = [0] * (m + 1)
-            row_counts[robot.assigned_task] = 1
-            counts.append(row_counts)
-            row_of[robot.id] = row
-        instance = ProblemInstance(self.config.gamma, world.signals, costs, counts)
+        robots = world.robots
+        nodes, D = self.p.nodes, self.p.D
+        costs = [[math.hypot(nx - robot.x, ny - robot.y) / D for nx, ny in nodes]
+                 for robot in robots]
+        counts = self.count_rows[[robot.assigned_task for robot in robots]]
+        row_of = {robot.id: row for row, robot in enumerate(robots)}
+        instance = ProblemInstance._trusted(self.gamma, np.array(world.signals),
+                                            np.array(costs), counts)
         return instance, row_of
 
     # -- behaviors -------------------------------------------------------

@@ -30,7 +30,11 @@ from swarmgames.allocation import (
 
 
 def homogeneous(gamma, signals, idle, assigned=None, costs=None):
-    return ProblemInstance.single_group(gamma, signals, idle, assigned, costs)
+    """One-group instance: `idle` robots free, `assigned` committed per task."""
+    m = len(gamma)
+    assigned = [0] * m if assigned is None else list(assigned)
+    costs = [0.0] * m if costs is None else list(costs)
+    return ProblemInstance(gamma, signals, [costs], [[idle, *assigned]])
 
 
 # The paper's closed forms for one group of identical robots, kept here as
@@ -799,3 +803,26 @@ def test_sample_assignment_frequencies():
     for a, p in enumerate([0.2, 0.5, 0.3]):
         sigma = (p * (1 - p) / draws) ** 0.5
         assert abs(counts[a] / draws - p) < 4 * sigma
+
+
+def linear_scan_draw(row, u):
+    """The inverse-CDF draw as a plain scan: first action whose running
+    sum exceeds u, else the last action with positive probability."""
+    acc = 0.0
+    last_positive = 0
+    for a, p in enumerate(row):
+        if p > 0.0:
+            last_positive = a
+        acc += p
+        if u < acc:
+            return a
+    return last_positive
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.floats(-1e-9, 1.0), st.sampled_from([0.0, 0.5, float("nan")])),
+                min_size=1, max_size=6),
+       st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 0.5])))
+def test_sample_assignment_matches_a_linear_scan(row, u):
+    # the table's running maximum keeps bisect exact on float dust and NaN
+    assert sample_assignment(MixedStrategy([row]), 0, u) == linear_scan_draw(row, u)

@@ -4,7 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swarmgames import cbf
 from swarmgames.cbf import N_FACETS, VelocityQP, filter_velocity
 
 COLONY = dict(v_max=1.0, r=0.25, R_o=30.0)
@@ -193,3 +196,63 @@ def test_random_stress_satisfies_rows():
 
 def test_facet_count_is_sixteen():
     assert N_FACETS == 16
+
+
+def reference_filter(qp):
+    """filter_velocity as it was before the row-free pass-through: build
+    every row, then test the speed-clipped reference against each."""
+    vx, vy = qp.v_ref
+    speed = math.hypot(vx, vy)
+    if speed > qp.v_max:
+        scale = qp.v_max / speed
+        cx, cy = vx * scale, vy * scale
+    else:
+        cx, cy = vx, vy
+    rows = cbf._affine_rows(qp)
+    for ax, ay, b in rows:
+        if ax * cx + ay * cy - b > cbf._TOL:
+            break
+    else:
+        return (cx, cy), False
+    best = cbf._best_candidate(rows, vx, vy)
+    if best is not None and math.hypot(*best) <= qp.v_max + 1e-12:
+        return best, False
+    if best is None:
+        return (0.0, 0.0), True
+    bound = qp.v_max * cbf._FACET_SCALE
+    rows.extend((fx, fy, bound) for fx, fy in cbf._FACETS)
+    best = cbf._best_candidate(rows, vx, vy)
+    if best is None:
+        return (0.0, 0.0), True
+    return best, False
+
+
+@st.composite
+def velocity_qps(draw):
+    """Problems near the row boundaries: positions up to just past the
+    domain edge, neighbours from overlapping to well clear."""
+    params = draw(st.sampled_from([COLONY, MONITORING]))
+    v_max, r, R_o = params["v_max"], params["r"], params["R_o"]
+    speed = st.floats(-2.0 * v_max, 2.0 * v_max)
+    angle = st.floats(0.0, 2.0 * math.pi)
+    a, radius = draw(angle), draw(st.floats(0.0, 1.05 * R_o))
+    px, py = radius * math.cos(a), radius * math.sin(a)
+    neighbors = []
+    for _ in range(draw(st.integers(0, 5))):
+        na, nd = draw(angle), draw(st.floats(0.5 * r, 8.0 * r))
+        neighbors.append((px + nd * math.cos(na), py + nd * math.sin(na)))
+    qp = VelocityQP((draw(speed), draw(speed)), (px, py), neighbors, **params)
+    rows = [row for row in cbf._affine_rows(qp) if row[0] ** 2 + row[1] ** 2 > 1e-12]
+    if rows and draw(st.booleans()):
+        # a reference within a few _TOL of one row's boundary, either side
+        ax, ay, b = draw(st.sampled_from(rows))
+        gap = draw(st.sampled_from([-2e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9]))
+        scale = (b + gap) / (ax * ax + ay * ay)
+        qp.v_ref = (ax * scale, ay * scale)
+    return qp
+
+
+@settings(max_examples=600, deadline=None)
+@given(velocity_qps())
+def test_filter_matches_row_building_reference(qp):
+    assert filter_velocity(qp) == reference_filter(qp)

@@ -178,6 +178,22 @@ def test_sim_fractional_count_exits_1(tmp_path, capsys, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario,override", [
+    ("colony", "t_final=.nan"), ("colony", "dt=.nan"), ("colony", "v_max=.inf"),
+    ("colony", "events.0.time=.nan"), ("colony", "colony.E_drain=.nan"),
+    ("colony", "colony.R_o=.inf"), ("colony", "gamma=[.nan, 1.0]"),
+    ("colony", "colony.depot=[.nan, 0.0]"), ("monitoring", "monitoring.A=.nan"),
+    ("monitoring", "monitoring.idle_point=[2.0, .inf]"), ("colony", "t_final=1.0e+308"),
+    ("colony", "events.1.time=1.0e+308"),
+])
+def test_sim_non_finite_value_exits_1(tmp_path, capsys, scenario, override):
+    out = tmp_path / "o.csv"
+    assert main(["sim", "--scenario", scenario, "--t-final", "1", "--set", override,
+                 "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sim_dotted_event_override(tmp_path):
     out = tmp_path / "ev.csv"
     assert main(["sim", "--scenario", "colony", "--seed", "0",

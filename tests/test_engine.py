@@ -228,6 +228,18 @@ def test_zero_step_colony_run_reports_start_energy():
     assert metrics.final_energy == colony_default().colony.E_start
 
 
+def test_cargo_incomplete_until_the_goal_is_delivered():
+    one_unit = (Event(time=5.0, kind="cargo_delivery", amount=1, location=(20.0, 0.0)),)
+    cfg = dataclasses.replace(colony_default(), events=one_unit)
+    early = run(dataclasses.replace(cfg, t_final=10.0), seed=0)
+    assert early.cargo_incomplete and early.all_cargo_delivered_time is None
+    done = run(dataclasses.replace(cfg, t_final=150.0), seed=0)
+    assert not done.cargo_incomplete and done.all_cargo_delivered_time is not None
+    no_goal = dataclasses.replace(colony_default(), t_final=10.0, events=())
+    assert not run(no_goal, seed=0).cargo_incomplete
+    assert not run(dataclasses.replace(monitoring_default(), t_final=10.0)).cargo_incomplete
+
+
 def test_colony_run_is_deterministic():
     cfg = dataclasses.replace(colony_default(), t_final=180.0)
     a = run(cfg, seed=12)
