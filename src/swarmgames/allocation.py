@@ -23,10 +23,19 @@ minimisers of the convex potential
     Phi(x) = sum_k L_k^2 / (2 gamma_k) + sum_ik x_ik (s_k + c_k^i - 1)
 
 over x >= 0 with sum_k x_ik <= n_0^i: the optimality conditions of that
-problem are the equilibrium conditions.  `allocate` minimises Phi by
-Gauss-Seidel best response, where each group's step is an exact
-water-filling solution, and finishes with one linear solve of the
-equilibrium equations on the support the sweeps settle on.
+problem are the equilibrium conditions.  `allocate` first tries a
+closed-form warm start.  When that fails the KKT test it searches for
+the equilibrium support, then finishes with one linear solve of the
+equilibrium equations on that support.  There are two searches:
+
+- Gauss-Seidel best-response sweeps, where each group's step is an
+  exact water-filling solution.  The number of sweeps grows with the
+  number of groups g.
+- A primal-dual interior-point method (Mehrotra's predictor-corrector)
+  on Phi.  It needs a number of iterations that barely depends on g,
+  and each iteration costs one M x M solve plus vectorised (g, M+1)
+  passes, because each group couples only its own cells and the tasks
+  couple through M loads.
 
 Most rounds a simulation meets are small (the monitoring scenario's
 4 groups x 5 tasks, the colony's 1 x 2), and most of those end at the
@@ -36,10 +45,12 @@ at most `_SMALL_CELLS` cells (g x M) run the group merge, the warm
 start, its KKT test and the row assembly in plain Python floats, with
 the same operations in the same order, so the strategies are
 bit-identical (only the KKT test's load sums may round differently, by
-an ulp); a warm start that fails the test hands over to the array
-code's sweeps.  Larger rounds run in array code throughout.  The
-constant sits below the measured whole-round crossover (at par near 96
-cells, the array code ahead from 128).
+an ulp).  Larger rounds run in array code throughout.  The constant
+sits below the measured whole-round crossover (at par near 96 cells,
+the array code ahead from 128).  The same constant picks the search: a
+warm-start miss with at most `_SMALL_CELLS` merged cells runs the
+sweeps, which take a few hundred microseconds there; a larger one runs
+the interior method, and the sweeps only if it certifies nothing.
 
 `verify_equilibrium` checks any candidate strategy against the
 definition: a vectorised re-computation of the loads and utilities,
@@ -81,7 +92,10 @@ EPS_SUM = 1e-9    # accepted row-normalization error
 
 _CERT_TOL = 0.1 * EPS_EQ  # KKT residual allocate accepts before the oracle sees it
 _MAX_SWEEPS = 10_000      # best-response sweeps before allocate gives up
-_SMALL_CELLS = 64         # g x M at or below which allocate runs in plain floats
+_SMALL_CELLS = 64         # g x M at or below which rounds run in plain floats and sweep
+_MAX_INTERIOR = 50        # interior-point iterations before the sweeps take over
+_MU_POLISH = 1e-10        # mean complementarity, per idle robot, below which a pattern is polished
+_MU_FLOOR = 1e-15         # ... at which the interior method stops
 
 
 class AllocationError(RuntimeError):
@@ -219,8 +233,17 @@ class EquilibriumReport:
 
 @dataclasses.dataclass(frozen=True)
 class AllocationResult:
+    """allocate's strategy, its oracle report (None without the check),
+    and how the round was solved: `path` is "warm" (the closed-form warm
+    start), "interior" (the interior-point support search) or "sweeps"
+    (best-response sweeps), and `iterations` counts interior iterations
+    plus sweeps.
+    """
+
     strategy: MixedStrategy
     report: EquilibriumReport | None
+    path: str
+    iterations: int
 
     @property
     def supports(self) -> list[tuple[int, ...]]:
@@ -531,28 +554,27 @@ def _extrapolate(w, gamma, ntask, n0, start, x):
     return np.maximum(start + t * d, 0.0)
 
 
-def _equilibrium(gamma, s, c, n0, ntask, probs=None):
-    """Task probabilities (g, M) of the merged groups at a minimiser of Phi.
+def _warm_start(gamma, s, c, n0, ntask):
+    """Every task to its cheapest group(s) with idle robots, everyone
+    idling: the closed-form (g, M) task probabilities of that support."""
+    cost = np.where((n0 > 0)[:, None], c, np.inf)
+    cmin = cost.min(axis=0)
+    sup = (cost == cmin) & (gamma * (1.0 - s) - ntask - gamma * cmin > 0.0)
+    return _solve_modes(gamma, s, c, n0, ntask, sup, np.zeros(n0.shape[0], dtype=bool))
 
-    `probs` is a warm start that already failed the KKT test; without
-    it the closed-form warm start is computed and tested here first.
+
+def _equilibrium(gamma, s, c, n0, ntask, probs):
+    """Task probabilities (g, M) of the merged groups at a minimiser of Phi,
+    by best-response sweeps from the start `probs`; returns them with the
+    number of sweeps run.
     """
     w = 1.0 - s - c
     busy = np.zeros(n0.shape[0], dtype=bool)
-    if probs is None:
-        # Warm start: every task to its cheapest group(s), everyone idling.
-        cost = np.where((n0 > 0)[:, None], c, np.inf)
-        cmin = cost.min(axis=0)
-        sup = (cost == cmin) & (gamma * (1.0 - s) - ntask - gamma * cmin > 0.0)
-        probs = _solve_modes(gamma, s, c, n0, ntask, sup, busy)
-        if _certified(w, gamma, n0, ntask, probs):
-            return probs
-
     rows = np.flatnonzero(n0 > 0).tolist()
     val, gam, cap = (gamma * w).tolist(), gamma.tolist(), n0.tolist()
     x = _project(probs, n0, rows)
     seen, polished = set(), set()
-    for _ in range(_MAX_SWEEPS):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         start = x
         xs = start.tolist()
         load = (ntask + start.sum(axis=0)).tolist()
@@ -575,17 +597,106 @@ def _equilibrium(gamma, s, c, n0, ntask, probs=None):
                     probs = None  # ties leave the masses free; test the iterate
                 if probs is not None:
                     if _certified(w, gamma, n0, ntask, probs):
-                        return probs
+                        return probs, sweep
                     projected = _project(probs, n0, rows)
                     if _potential(w, gamma, ntask, projected) < _potential(w, gamma, ntask, x):
                         x = projected
                         continue
             probs = x / np.where(n0 > 0, n0, 1.0)[:, None]
             if _certified(w, gamma, n0, ntask, probs):
-                return probs
+                return probs, sweep
         seen.add(pattern)
         x = _extrapolate(w, gamma, ntask, n0, start, x)
     raise AllocationError(f"best response did not converge in {_MAX_SWEEPS} sweeps")
+
+
+def _step_to_boundary(v, dv):
+    """Largest step in (0, 1] along dv that keeps the positive v nonnegative."""
+    return 1.0 / max(1.0, float(np.max(-dv / v)))
+
+
+def _interior(gamma, s, c, n0, ntask):
+    """Mehrotra predictor-corrector interior point on min Phi.
+
+    The variables are the (h, M+1) masses x of the h merged groups with
+    idle robots, column 0 the idle slack, so each group's row sums to
+    n0_i; z >= 0 are their duals and y the groups' row prices.  Each
+    Newton step eliminates every group's equality row in closed form
+    and takes the load coupling through one M x M solve of the SPD
+    matrix Gamma + A S A^T, with S = x / z and A the per-group
+    projection of the task columns.
+
+    Once the mean complementarity mu is small and the pattern x > z
+    (support, and busy = idle slack below its dual) is the same on two
+    iterations in a row, the pattern is polished with _solve_modes.
+    Returns (probs, iterations, certified): the polished (g, M) task
+    probabilities if they pass the KKT test, else the last iterate's
+    for the sweeps to start from.
+    """
+    live = n0 > 0
+    w_all = 1.0 - s - c
+    w, cap = w_all[live], n0[live]
+    h, m = w.shape
+    size = h * (m + 1)
+    x = np.repeat((cap / (m + 1))[:, None], m + 1, axis=1)
+    util = w - (ntask + x[:, 1:].sum(axis=0)) / gamma
+    y = -1.0 - np.maximum(util.max(axis=1), 0.0)
+    z = np.empty_like(x)
+    z[:, 0] = -y
+    z[:, 1:] = -y[:, None] - util  # dual feasible: every z >= 1
+    sup = np.zeros(c.shape, dtype=bool)
+    busy = np.zeros(n0.shape[0], dtype=bool)
+    mu_polish, mu_floor = _MU_POLISH * cap.mean(), _MU_FLOOR * cap.mean()
+    diagonal = np.diag_indices(m)
+    pattern, polished = None, set()
+    for it in range(1, _MAX_INTERIOR + 1):
+        xz = x * z
+        mu = float(xz.sum()) / size
+        above = x > z
+        last, pattern = pattern, above.tobytes()
+        if pattern == last and mu < mu_polish and pattern not in polished:
+            polished.add(pattern)
+            sup[live] = above[:, 1:]
+            busy[live] = ~above[:, 0]
+            try:
+                probs = _solve_modes(gamma, s, c, n0, ntask, sup, busy)
+            except SingularSystem:
+                break  # ties leave the masses free; the sweeps test their iterate
+            if _certified(w_all, gamma, n0, ntask, probs):
+                return probs, it, True
+        if mu < mu_floor:
+            break
+        # dual and primal residuals: zero up to rounding, as the start is feasible
+        rd = -z
+        rd[:, 0] -= y
+        rd[:, 1:] += ((ntask + x[:, 1:].sum(axis=0)) / gamma - w) - y[:, None]
+        rp = x.sum(axis=1) - cap
+        scale = x / z
+        row = scale.sum(axis=1)
+        task = scale[:, 1:]
+        share = task / row[:, None]
+        coupling = task.T @ share
+        coupling *= -1.0
+        coupling[diagonal] += gamma + task.sum(axis=0)
+
+        def newton(rc):
+            r = -rd - rc / x
+            a = (-rp - (scale * r).sum(axis=1)) / row
+            t = np.linalg.solve(coupling, (task * (r[:, 1:] + a[:, None])).sum(axis=0))
+            dy = a + share @ t
+            dx = scale * (r + dy[:, None])
+            dx[:, 1:] -= task * t
+            return dx, dy, -(rc + z * dx) / x
+
+        dx, _, dz = newton(xz)
+        ap, ad = _step_to_boundary(x, dx), _step_to_boundary(z, dz)
+        mu_aff = float(np.sum((x + ap * dx) * (z + ad * dz))) / size
+        dx, dy, dz = newton(xz + dx * dz - (mu_aff / mu) ** 3 * mu)
+        ap, ad = 0.99 * _step_to_boundary(x, dx), 0.99 * _step_to_boundary(z, dz)
+        x, y, z = x + ap * dx, y + ad * dy, z + ad * dz
+    probs = np.zeros(c.shape)
+    probs[live] = x[:, 1:] / cap[:, None]
+    return probs, it, False
 
 
 def _row_sum(xs):
@@ -611,11 +722,12 @@ def _row_sum(xs):
     return total
 
 
-def _allocate_small(instance: ProblemInstance) -> list[list[float]]:
-    """allocate's round in plain floats; returns the (g, M+1) rows.
+def _allocate_small(instance: ProblemInstance) -> tuple[list[list[float]], str, int]:
+    """allocate's round in plain floats; returns the (g, M+1) rows, the
+    path and the iteration count.
 
     The same float operations in the same order as the array code:
-    _merge_groups, the warm start of _equilibrium, the KKT test of
+    _merge_groups, _warm_start, the KKT test of
     _certified and the row assembly of _allocate_arrays.  Only the load sums
     n0 @ probs may add in another order than BLAS does, which moves a
     KKT residual by an ulp, far inside _CERT_TOL.  A warm start that
@@ -639,6 +751,7 @@ def _allocate_small(instance: ProblemInstance) -> list[list[float]]:
     ntask = [float(sum(col)) for col in list(zip(*counts))[1:]]
 
     probs = [[0.0] * m for _ in c]
+    path, iterations = "warm", 0
     live = [j for j, n in enumerate(n0) if n > 0.0]
     if live:
         dots = [0.0] * m
@@ -663,8 +776,9 @@ def _allocate_small(instance: ProblemInstance) -> list[list[float]]:
             if (mass > 1.0 + EPS_ZERO
                     or (mass < 1.0 - EPS_ZERO and best > _CERT_TOL and nj > 0.0)
                     or any(p > EPS_ZERO and best - u > _CERT_TOL for p, u in zip(row, util))):
-                probs = _equilibrium(instance.gamma, instance.signals, np.array(c),
-                                     np.array(n0), np.array(ntask), np.array(probs)).tolist()
+                probs, iterations = _equilibrium(instance.gamma, instance.signals, np.array(c),
+                                                 np.array(n0), np.array(ntask), np.array(probs))
+                probs, path = probs.tolist(), "sweeps"
                 break
 
     out = []
@@ -676,7 +790,7 @@ def _allocate_small(instance: ProblemInstance) -> list[list[float]]:
             out.append([0.0 if abs(p0) < EPS_ZERO else p0, *row])
         else:
             out.append([1.0] + [0.0] * m)
-    return out
+    return out, path, iterations
 
 
 def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResult:
@@ -686,44 +800,63 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
     Phi (see the module docstring) is minimised:
 
     1. Each task goes to its cheapest group(s), everyone idling, and
-       that support is solved in closed form.
-    2. Otherwise, starting from that solution cut down to the feasible
-       set, Gauss-Seidel sweeps replace each group's masses with its
-       exact best response to the others, and an exact line search
-       along each sweep's displacement extends the step.
-    3. Once a (support, busy) pattern recurs, the equilibrium equations
-       on it are solved once.  A solution that fails the KKT test is
-       projected onto the feasible set and kept if that lowers Phi.
-       Where ties make the equations singular, the sweep iterate is
-       returned as soon as it passes the test itself.
+       that support is solved in closed form (path "warm").
+    2. Otherwise, with more than _SMALL_CELLS merged cells (g x M), a
+       primal-dual interior-point method runs on Phi.  Once its
+       iterates settle on a (support, busy) pattern, the equilibrium
+       equations on that pattern are solved and the solution is
+       returned if it passes the KKT test (path "interior").
+    3. Otherwise, from the last solution cut down to the feasible set,
+       Gauss-Seidel sweeps replace each group's masses with its exact
+       best response to the others, and an exact line search along
+       each sweep's displacement extends the step (path "sweeps").
+       Once a (support, busy) pattern recurs, the equilibrium
+       equations on it are solved once.  A solution that fails the KKT
+       test is projected onto the feasible set and kept if that lowers
+       Phi.  Where ties make the equations singular, the sweep iterate
+       is returned as soon as it passes the test itself.  The interior
+       method hands over to the sweeps when its polish is singular or
+       it reaches _MAX_INTERIOR iterations uncertified.
 
-    Rounds of at most _SMALL_CELLS cells (g x M) run the merge, step 1
-    and the row assembly in plain floats, bit-identical to the array
-    code, and hand a warm start that fails the KKT test to the array
-    code's sweeps; larger rounds run in array code throughout.
+    Rounds of at most _SMALL_CELLS cells run the merge, step 1 and the
+    row assembly in plain floats, bit-identical to the array code, and
+    hand a warm start that fails the KKT test to the array code's
+    sweeps; larger rounds run in array code throughout.
 
     Groups without idle robots get degenerate idle rows.  With `check`
-    the returned strategy is certified by the independent oracle.
-    Raises AllocationError only if the sweeps reach their cap.
+    the returned strategy is certified by the independent oracle.  The
+    result's `path` and `iterations` say which step ended the round and
+    how many interior iterations and sweeps it took.  Raises
+    AllocationError only if the sweeps reach their cap.
     """
     if instance.costs.size <= _SMALL_CELLS:
-        strategy = MixedStrategy(np.array(_allocate_small(instance)))
+        rows, path, iterations = _allocate_small(instance)
+        probs = np.array(rows)
     else:
-        strategy = MixedStrategy(_allocate_arrays(instance))
+        probs, path, iterations = _allocate_arrays(instance)
+    strategy = MixedStrategy(probs)
     report = verify_equilibrium(instance, strategy) if check else None
-    return AllocationResult(strategy, report)
+    return AllocationResult(strategy, report, path, iterations)
 
 
-def _allocate_arrays(instance: ProblemInstance) -> np.ndarray:
-    """allocate's round in array code; returns the (g, M+1) rows."""
+def _allocate_arrays(instance: ProblemInstance) -> tuple[np.ndarray, str, int]:
+    """allocate's round in array code; returns the (g, M+1) rows, the
+    path and the iteration count."""
     m, g = instance.n_tasks, instance.n_groups
+    gamma, s = instance.gamma, instance.signals
     merged_idx, merged_counts, c = _merge_groups(instance.costs, instance.counts)
     n0 = merged_counts[:, 0].astype(float)
-    if np.any(n0 > 0):
-        probs_m = _equilibrium(instance.gamma, instance.signals, c, n0,
-                               instance.task_totals.astype(float))
-    else:
-        probs_m = np.zeros(c.shape)
+    ntask = instance.task_totals.astype(float)
+    probs_m = _warm_start(gamma, s, c, n0, ntask)
+    path, iterations = "warm", 0
+    if not _certified(1.0 - s - c, gamma, n0, ntask, probs_m):
+        certified = False
+        if c.size > _SMALL_CELLS:
+            probs_m, iterations, certified = _interior(gamma, s, c, n0, ntask)
+            path = "interior"
+        if not certified:
+            probs_m, sweeps = _equilibrium(gamma, s, c, n0, ntask, probs_m)
+            path, iterations = "sweeps", iterations + sweeps
 
     probs = np.zeros((g, m + 1))
     probs[:, 0] = 1.0
@@ -732,7 +865,7 @@ def _allocate_arrays(instance: ProblemInstance) -> np.ndarray:
     p0 = 1.0 - rows.sum(axis=1)
     probs[deciding, 0] = np.where(np.abs(p0) < EPS_ZERO, 0.0, p0)
     probs[deciding, 1:] = rows
-    return probs
+    return probs, path, iterations
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ Exit codes
     0   success (allocate: verified equilibrium; sim: reached t_final)
     1   malformed input file or bad override
     2   the equilibrium search failed (AllocationError), or allocate
-        produced a strategy the equilibrium oracle rejects
+        produced a strategy the equilibrium oracle rejects (montecarlo:
+        in any run, after every artifact is written)
     3   simulation ended in energy depletion
     4   simulation ended in total deadlock: no robot can move again
         (montecarlo: any run did, after every artifact is written)
@@ -40,7 +41,7 @@ from .scenarios import (
     read_yaml,
     to_mapping,
 )
-from .sim import DEADLOCKED, ENERGY_DEPLETED, run
+from .sim import ALLOCATION_FAILED, DEADLOCKED, ENERGY_DEPLETED, run
 
 __all__ = ["main", "CampaignSummary", "summarize_runs"]
 
@@ -193,10 +194,7 @@ def cmd_sim(args) -> int:
         return _fail(f"cannot read {args.scenario}: {exc.strerror}", 1)
     except ScenarioError as exc:
         return _fail(str(exc), 1)
-    try:
-        metrics = run(config, args.seed)
-    except AllocationError as exc:
-        return _fail(f"equilibrium search failed: {exc}", 2)
+    metrics = run(config, args.seed)
     _atomic_write(args.out, metrics.write_csv)
     steps = len(metrics.rows)
     print(f"{config.kind} seed={args.seed if args.seed is not None else config.seed}: "
@@ -208,6 +206,8 @@ def cmd_sim(args) -> int:
     if metrics.robot_steps:
         rate = metrics.deadlock_robot_steps / metrics.robot_steps
         print(f"deadlock robot-steps {metrics.deadlock_robot_steps} ({rate:.3%})")
+    if metrics.failure == ALLOCATION_FAILED:
+        return _fail(f"equilibrium search failed: {metrics.failure_detail}", 2)
     if metrics.failure:
         print(f"FAILURE: {metrics.failure}", file=sys.stderr)
         return {ENERGY_DEPLETED: 3, DEADLOCKED: 4}.get(metrics.failure, 1)
@@ -239,6 +239,7 @@ class CampaignSummary:
 
 
 def _run_stats(metrics, seed: int) -> dict:
+    """One runs.csv row, plus the `failure_detail` that stays off the file."""
     return {
         "seed": seed,
         "steps": len(metrics.rows),
@@ -249,6 +250,7 @@ def _run_stats(metrics, seed: int) -> dict:
         "deadlock_robot_steps": metrics.deadlock_robot_steps,
         "robot_steps": metrics.robot_steps,
         "max_conservation_residual": metrics.max_conservation_residual,
+        "failure_detail": metrics.failure_detail,
     }
 
 
@@ -295,13 +297,15 @@ def write_summary_csv(summary: CampaignSummary, path: str) -> None:
     _atomic_write(path, writer)
 
 
-def format_summary(summary: CampaignSummary, deadlocked: int) -> str:
-    """Human-readable campaign summary; `deadlocked` counts the runs that
-    ended in total deadlock."""
+def format_summary(summary: CampaignSummary, deadlocked: int, failed_allocations: int) -> str:
+    """Human-readable campaign summary; `deadlocked` and
+    `failed_allocations` count the runs that ended in total deadlock and
+    on an AllocationError."""
     lines = [
         f"runs                  {summary.runs}",
         f"energy failures       {summary.energy_failures}",
         f"deadlocked runs       {deadlocked}",
+        f"failed allocations    {failed_allocations}",
         f"incomplete deliveries {summary.incomplete}",
     ]
     if summary.robot_steps:
@@ -353,21 +357,19 @@ def cmd_montecarlo(args) -> int:
     mapping = to_mapping(config)
     items = [(mapping, base + i, args.out) for i in range(args.runs)]
     jobs = args.jobs or os.cpu_count() or 1
-    try:
-        if jobs > 1 and args.runs > 1:
-            # map preserves submission order, so the aggregate cannot
-            # depend on completion order
-            with multiprocessing.Pool(min(jobs, args.runs)) as pool:
-                stats = pool.map(_campaign_worker, items)
-        else:
-            stats = [_campaign_worker(item) for item in items]
-    except AllocationError as exc:
-        return _fail(f"equilibrium search failed: {exc}", 2)
+    if jobs > 1 and args.runs > 1:
+        # map preserves submission order, so the aggregate cannot
+        # depend on completion order
+        with multiprocessing.Pool(min(jobs, args.runs)) as pool:
+            stats = pool.map(_campaign_worker, items)
+    else:
+        stats = [_campaign_worker(item) for item in items]
     summary = summarize_runs(stats)
     deadlocked = sum(1 for row in stats if row["failure"] == DEADLOCKED)
+    failed = [row for row in stats if row["failure"] == ALLOCATION_FAILED]
     write_runs_csv(stats, os.path.join(args.out, "runs.csv"))
     write_summary_csv(summary, os.path.join(args.out, "summary.csv"))
-    text = format_summary(summary, deadlocked)
+    text = format_summary(summary, deadlocked, len(failed))
 
     def write_text(tmp):
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -376,6 +378,11 @@ def cmd_montecarlo(args) -> int:
     _atomic_write(os.path.join(args.out, "summary.txt"), write_text)
     print(text, end="")
     print(f"campaign artifacts -> {args.out}")
+    for row in failed:
+        print(f"equilibrium search failed: {row['failure_detail']} (seed {row['seed']})",
+              file=sys.stderr)
+    if failed:
+        return _fail(f"FAILURE: {ALLOCATION_FAILED} in {len(failed)} of {len(stats)} runs", 2)
     if deadlocked:
         return _fail(f"FAILURE: {DEADLOCKED} in {deadlocked} of {len(stats)} runs", 4)
     return 0

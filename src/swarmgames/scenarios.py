@@ -294,6 +294,9 @@ def _build(cls, mapping, where):
     for key, value in mapping.items():
         if key not in fields:
             raise ScenarioError(f"{where}{key}: unknown key")
+        # YAML 1.1 reads 1e3 as text; only 1.0e+3 is a float
+        if fields[key].type == "float" and not isinstance(value, (int, float)):
+            raise ScenarioError(f"{where}{key}: expected a number, got {value!r}")
         kwargs[key] = _convert_field(fields[key].name, value, f"{where}{key}")
     return cls(**kwargs)
 

@@ -38,6 +38,9 @@ One sweep runs per step, `neighbor_sweep` on the post-move positions:
   the cutoff apart, so when no pair lies clearly inside the cutoff the
   sweep falls back to `min_pair_distance` over all points.
 
+An AllocationError ends a run as ALLOCATION_FAILED (`run`), with the
+steps completed before it kept in the metrics.
+
 Total deadlock ends a run: when every live robot is flagged deadlocked
 in one step, `world.failure` becomes DEADLOCKED.  A robot deadlocks
 when its CBF rows admit no velocity, and those rows depend only on
@@ -75,13 +78,14 @@ import dataclasses
 import math
 import random
 
-from ..allocation import allocate, assignment_cdf, draw_action
+from ..allocation import AllocationError, allocate, assignment_cdf, draw_action
 from ..cbf import VelocityQP, filter_velocity
 from ..scenarios import ScenarioConfig
 
 __all__ = [
     "IDLE_AT_BASE",
     "DEADLOCKED",
+    "ALLOCATION_FAILED",
     "RobotState",
     "WorldState",
     "RunMetrics",
@@ -95,6 +99,7 @@ __all__ = [
 
 IDLE_AT_BASE = "IdleAtBase"
 DEADLOCKED = "Deadlocked"
+ALLOCATION_FAILED = "AllocationError"
 
 # a squared distance below cutoff_sq * _INSIDE is clearly inside the cutoff
 _INSIDE = 1.0 - 1e-9
@@ -132,6 +137,8 @@ class RunMetrics:
     has one bool per step, and `deadlock_robot_steps` counts individual
     robot flags against `robot_steps` total.  `cargo_incomplete` is set
     while a run's cargo goal is unmet; the colony keeps it.
+    `failure_detail` is the message of the AllocationError that ended a
+    run as ALLOCATION_FAILED.
     """
 
     columns: tuple
@@ -142,6 +149,7 @@ class RunMetrics:
     robot_steps: int = 0
     max_conservation_residual: float = 0.0
     failure: str | None = None
+    failure_detail: str | None = None
     final_energy: float | None = None
     all_cargo_delivered_time: float | None = None
     cargo_incomplete: bool = False
@@ -366,14 +374,21 @@ def step(world: WorldState, config: ScenarioConfig, dt: float) -> WorldState:
 
 
 def run(config: ScenarioConfig, seed: int | None = None) -> RunMetrics:
-    """Simulate one full run and return its metrics."""
+    """Simulate one full run and return its metrics.
+
+    An AllocationError raised in a step ends the run: its failure is
+    ALLOCATION_FAILED, and the metrics hold the steps completed before.
+    """
     world = build_world(config, seed)
     n_steps = round(config.t_final / config.dt)
-    for _ in range(n_steps):
-        step(world, config, config.dt)
-        if world.failure:
-            break
     metrics = world.metrics
+    try:
+        for _ in range(n_steps):
+            step(world, config, config.dt)
+            if world.failure:
+                break
+    except AllocationError as exc:
+        world.failure, metrics.failure_detail = ALLOCATION_FAILED, str(exc)
     metrics.failure = world.failure
     metrics.all_cargo_delivered_time = world.dyn.cargo_done_time(world)
     return metrics

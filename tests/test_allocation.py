@@ -474,17 +474,17 @@ def _pooled_draw(rng, g, m):
 
 
 @st.composite
-def instances(draw, max_tasks=16, max_cells=64 * 16):
-    """Any shape up to 64 groups x max_tasks tasks and max_cells cells, in
-    three count families.
+def instances(draw, max_tasks=16, max_cells=64 * 16, min_cells=1):
+    """Any shape up to 64 groups x max_tasks tasks with min_cells to
+    max_cells cells, in three count families.
 
     Singleton groups with nothing committed are what monitoring builds;
     pooled groups always have idle robots; random counts include groups
     without any.  Rounded draws make exact cost and task ties.
     """
     family = draw(st.sampled_from(["singleton", "pooled", "random"]))
-    m = draw(st.integers(1, min(max_tasks, max_cells)))
-    g = draw(st.integers(1, min(64, max_cells // m)))
+    m = draw(st.integers(-(-min_cells // 64), min(max_tasks, max_cells)))
+    g = draw(st.integers(-(-min_cells // m), min(64, max_cells // m)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     gamma = rng.uniform(1.0, 20.0, m)
     signals = rng.uniform(0.0, 1.0, m)
@@ -628,17 +628,83 @@ def test_float_round_matches_array_round(inst):
     # float warm start to the sweeps is covered along with the hits.  A
     # spurious miss would still reach the same equilibrium, so the paths
     # must also agree on whether the sweeps ran (they start with _project).
+    # Both run their misses through the sweeps on rounds this small.
     sweeps = []
     project = allocation._project
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(allocation, "_project", lambda *a: sweeps.append(1) or project(*a))
-        floats = allocate(inst)
+        rows, path, iterations = allocation._allocate_small(inst)
         float_sweeps = len(sweeps)
-        mp.setattr(allocation, "_SMALL_CELLS", 0)
-        arrays = allocate(inst)
-    assert floats.strategy.probs.tobytes() == arrays.strategy.probs.tobytes()
-    assert floats.report == arrays.report
+        arrays, array_path, array_iterations = allocation._allocate_arrays(inst)
+    floats = np.array(rows)
+    assert floats.tobytes() == arrays.tobytes()
+    assert (verify_equilibrium(inst, MixedStrategy(floats))
+            == verify_equilibrium(inst, MixedStrategy(arrays)))
     assert float_sweeps == len(sweeps) - float_sweeps
+    assert (path, iterations) == (array_path, array_iterations)
+
+
+def sweep_loads(inst):
+    """Task loads the best-response sweeps reach on the merged instance,
+    started from the closed-form warm start."""
+    _, merged_counts, c = allocation._merge_groups(inst.costs, inst.counts)
+    n0 = merged_counts[:, 0].astype(float)
+    ntask = inst.task_totals.astype(float)
+    warm = allocation._warm_start(inst.gamma, inst.signals, c, n0, ntask)
+    probs, _ = allocation._equilibrium(inst.gamma, inst.signals, c, n0, ntask, warm)
+    return ntask + n0 @ probs
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(min_cells=allocation._SMALL_CELLS + 1))
+def test_interior_rounds_match_the_sweeps(inst):
+    result = allocate(inst)
+    assert result.report.valid, result.report
+    loads = inst.task_totals + inst.idle_counts @ result.strategy.probs[:, 1:]
+    # Where ties make the polish singular, either side may return an iterate
+    # whose utilities are only within _CERT_TOL of their best, so the
+    # prices L_k / gamma_k may differ by up to twice that.
+    assert np.all(np.abs(loads - sweep_loads(inst)) <= 2 * allocation._CERT_TOL * inst.gamma)
+
+
+def singleton_round(rng, g, m):
+    """g singleton groups with nothing committed, the shape monitoring builds."""
+    counts = np.zeros((g, m + 1), dtype=np.int64)
+    counts[:, 0] = 1
+    return ProblemInstance(rng.uniform(2.0, 20.0, m), rng.uniform(0.0, 1.0, m),
+                           rng.uniform(0.0, 1.0, (g, m)), counts)
+
+
+def test_large_singleton_rounds_certify():
+    # g = 64 singleton draws, where the sweep count grew with g.  In two of
+    # them (15 and 28) the first pattern the interior method polishes
+    # fails the KKT test, so its iterations go on.
+    rng = np.random.default_rng(1)
+    for _ in range(40):
+        assert allocate(singleton_round(rng, 64, int(rng.integers(4, 17)))).report.valid
+
+
+def test_allocate_reports_its_path():
+    # a pooled round ends at the warm start: gamma_k = |n_k| + x_k with
+    # x_k < min(n0) / M keeps idling in every group's support
+    rng = np.random.default_rng(3)
+    n0 = rng.integers(4, 9, 64)
+    committed = rng.integers(0, 3, (64, 16))
+    gamma = committed.sum(axis=0) + rng.uniform(0.5, 1.0, 16) * n0.min() / 16
+    pooled = allocate(ProblemInstance(gamma, rng.uniform(0.0, 1.0, 16),
+                                      rng.uniform(0.0, 0.5, (64, 16)),
+                                      np.column_stack([n0, committed])))
+    assert (pooled.path, pooled.iterations) == ("warm", 0)
+    # the largest singleton round of the allocation benchmark, drawn after
+    # its ten smaller ones
+    rng = np.random.default_rng(2501)
+    shapes = [(8, 4)] * 3 + [(8, 8)] * 3 + [(16, 8)] * 2 + [(32, 8), (32, 16), (64, 16)]
+    *_, largest = [singleton_round(rng, g, m) for g, m in shapes]
+    interior = allocate(largest)
+    assert interior.path == "interior" and interior.iterations > 0
+    assert interior.report.valid
+    cycle = allocate(MONITORING_CYCLE)
+    assert cycle.path == "sweeps" and cycle.iterations > 0
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,17 @@ def test_sim_non_finite_value_exits_1(tmp_path, capsys, scenario, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override,field", [("t_final=1e3", "t_final"),
+                                            ("colony.E_drain=1e-3", "colony.E_drain")])
+def test_sim_number_read_as_text_exits_1(tmp_path, capsys, override, field):
+    # YAML 1.1 reads 1e3 as a string, not a float
+    out = tmp_path / "o.csv"
+    assert main(["sim", "--scenario", "colony", "--set", override, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert field in err and "expected a number" in err
+    assert not out.exists()
+
+
 def test_sim_dotted_event_override(tmp_path):
     out = tmp_path / "ev.csv"
     assert main(["sim", "--scenario", "colony", "--seed", "0",
@@ -268,6 +279,7 @@ def test_montecarlo_writes_all_artifacts(tmp_path):
     text = (out / "summary.txt").read_text()
     assert "runs                  3" in text
     assert "deadlocked runs       0" in text
+    assert "failed allocations    0" in text
 
 
 def test_montecarlo_summary_recomputable_from_run_artifacts(tmp_path):
@@ -323,6 +335,42 @@ def test_montecarlo_records_total_deadlock(tmp_path, capsys):
     # every artifact is written before the failing exit
     assert parse_summary_csv(out / "summary.csv").runs == 2
     assert "deadlocked runs       2" in (out / "summary.txt").read_text()
+    assert no_tmp_litter(out)
+
+
+def test_montecarlo_records_failed_allocation(tmp_path, capsys, monkeypatch):
+    # the second of three runs fails on its eleventh allocation round
+    runs = []
+    build_world, allocate = engine.build_world, engine.allocate
+
+    def counting_build_world(*args):
+        runs.append(0)
+        return build_world(*args)
+
+    def failing_allocate(instance, **kwargs):
+        if len(runs) == 2:
+            runs[-1] += 1
+            if runs[-1] > 10:
+                raise AllocationError("best response did not converge")
+        return allocate(instance, **kwargs)
+
+    monkeypatch.setattr(engine, "build_world", counting_build_world)
+    monkeypatch.setattr(engine, "allocate", failing_allocate)
+    out = tmp_path / "camp"
+    assert main(["montecarlo", "--scenario", "monitoring", "--t-final", "5", "--runs", "3",
+                 "--seed", "0", "--jobs", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "equilibrium search failed: best response did not converge (seed 1)" in err
+    assert "FAILURE: AllocationError in 1 of 3 runs" in err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "run_0.csv", "run_1.csv", "run_2.csv", "runs.csv", "summary.csv", "summary.txt"]
+    stats = parse_runs_csv(out / "runs.csv")
+    assert [r["failure"] for r in stats] == ["", "AllocationError", ""]
+    assert [r["steps"] for r in stats][::2] == [50, 50]
+    assert 10 <= stats[1]["steps"] < 50
+    assert len(read_csv(out / "run_1.csv")) - 1 == stats[1]["steps"]
+    assert summarize_runs(stats) == parse_summary_csv(out / "summary.csv")
+    assert "failed allocations    1" in (out / "summary.txt").read_text()
     assert no_tmp_litter(out)
 
 
