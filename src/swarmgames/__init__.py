@@ -17,7 +17,6 @@ from .allocation import (
     sample_assignment,
     verify_equilibrium,
 )
-from .linalg import SingularSystem, solve_linear
 
 __all__ = [
     "AllocationError",
@@ -25,12 +24,10 @@ __all__ = [
     "EquilibriumReport",
     "MixedStrategy",
     "ProblemInstance",
-    "SingularSystem",
     "allocate",
     "expected_task_count",
     "expected_utility",
     "sample_assignment",
-    "solve_linear",
     "verify_equilibrium",
 ]
 

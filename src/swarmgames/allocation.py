@@ -345,112 +345,18 @@ def _merge_groups(costs: np.ndarray, counts: np.ndarray):
     return merged_idx, np.array(rows), costs[first]
 
 
-def _support_adjacency(sup):
-    """Support pattern as python lists (cheap to walk at any size)."""
-    g, m = sup.shape
-    tasks_of = [[] for _ in range(g)]
-    groups_of = [[] for _ in range(m)]
-    rows, cols = np.nonzero(sup)
-    for i, k in zip(rows.tolist(), cols.tolist()):
-        tasks_of[i].append(k)
-        groups_of[k].append(i)
-    return tasks_of, groups_of
-
-
-def _support_components(tasks_of, groups_of, busy):
-    """Partition supported tasks into blocks linked by busy groups.
-
-    A busy group's equal-utility and normalization rows couple all of
-    its supported tasks; nothing else couples distinct tasks, so the
-    equilibrium system is block-diagonal over these components.
-    """
-    m = len(groups_of)
-    comp = [-1] * m
-    components = []
-    for root in range(m):
-        if comp[root] >= 0 or not groups_of[root]:
-            continue
-        cid = len(components)
-        comp[root] = cid
-        stack = [root]
-        tasks = [root]
-        while stack:
-            j = stack.pop()
-            for i in groups_of[j]:
-                if not busy[i]:
-                    continue
-                for k in tasks_of[i]:
-                    if comp[k] < 0:
-                        comp[k] = cid
-                        stack.append(k)
-                        tasks.append(k)
-        tasks.sort()
-        components.append(tasks)
-    return components
-
-
-def _solve_component(gamma, s, c, n0, ntask, busy, tasks, groups_of, probs):
-    """Solve one component's square system and write masses into probs.
-
-    Groups in idle mode pin every supported task's expected head count
-    to its zero-utility level; busy groups contribute equal-utility rows
-    plus a normalization row.  Entries can be negative on a support
-    that holds no equilibrium; the caller tests the result.
-    """
-    idx = {}
-    for k in tasks:
-        for i in groups_of[k]:
-            idx[(i, k)] = len(idx)
-    dim = len(idx)
-    a = np.zeros((dim, dim))
-    b = np.zeros(dim)
-    row = 0
-
-    def q_coeffs(r, k, scale):
-        for l in groups_of[k]:
-            a[r, idx[(l, k)]] += scale * n0[l]
-
-    busy_tasks = {}
-    for k in tasks:
-        idles = [i for i in groups_of[k] if not busy[i]]
-        for i in groups_of[k]:
-            if busy[i]:
-                busy_tasks.setdefault(i, []).append(k)
-        if not idles:
-            continue
-        pin = idles[0]
-        q_coeffs(row, k, 1.0)
-        b[row] = gamma[k] * (1.0 - s[k] - c[pin, k]) - ntask[k]
-        row += 1
-        for other in idles[1:]:
-            a[row, idx[(pin, k)]] = 1.0
-            a[row, idx[(other, k)]] = -1.0
-            row += 1
-    for i in sorted(busy_tasks):
-        group_tasks = busy_tasks[i]
-        j = group_tasks[0]
-        for k in group_tasks[1:]:
-            q_coeffs(row, j, 1.0 / gamma[j])
-            q_coeffs(row, k, -1.0 / gamma[k])
-            b[row] = (s[k] + c[i, k]) - (s[j] + c[i, j]) + ntask[k] / gamma[k] - ntask[j] / gamma[j]
-            row += 1
-        for k in group_tasks:
-            a[row, idx[(i, k)]] = 1.0
-        b[row] = 1.0
-        row += 1
-    assert row == dim, "support bookkeeping produced a non-square system"
-
-    x = solve_linear(a, b)
-    for (i, k), pos in idx.items():
-        probs[i, k] = x[pos]
-
-
 def _solve_modes(gamma, s, c, n0, ntask, sup, busy):
     """Solve the equilibrium equations for fixed supports and modes.
 
-    The system splits into independent blocks (one per set of tasks
-    linked by busy groups), so cost stays near-linear in the number of
-    supported cells.  Returns the (g, M) task-probability matrix.
+    The unknowns are the supported cells' probabilities, task by task.
+    Each supported task with idle-mode groups pins its expected head
+    count to the first such group's zero-utility level and equates the
+    others' probabilities with it; each busy group equates its utility
+    on its first supported task with every other and normalises its row.
+    That is one square system over the whole support, solved with one
+    solve_linear call; ties make it singular.  Entries can be negative
+    on a support that holds no equilibrium; the caller tests the result.
+    Returns the (g, M) task-probability matrix.
     """
     g, m = c.shape
     target = gamma * (1.0 - s) - ntask
@@ -466,11 +372,55 @@ def _solve_modes(gamma, s, c, n0, ntask, sup, busy):
                           0.0)
         return sup * shared[None, :]
 
-    tasks_of, groups_of = _support_adjacency(sup)
-    components = _support_components(tasks_of, groups_of, busy)
+    tasks, groups = sup.T.nonzero()
+    tasks, groups = tasks.tolist(), groups.tolist()
+    # plain floats: numpy scalar arithmetic costs more than these few rows
+    gamma_, s_, n0_, ntask_ = gamma.tolist(), s.tolist(), n0.tolist(), ntask.tolist()
+    busy_ = busy.tolist()
+    cells_of = [[] for _ in range(m)]  # (group, unknown) per task
+    busy_cells = {}                    # (task, unknown) per busy group
+    for pos, (i, k) in enumerate(zip(groups, tasks)):
+        cells_of[k].append((i, pos))
+        if busy_[i]:
+            busy_cells.setdefault(i, []).append((k, pos))
+    dim = len(groups)
+    entries, vals, b = [], [], []  # a's flat indices and values, row by row
+
+    def load(k, scale):
+        """Task k's expected head count times scale, into the next row."""
+        for i, pos in cells_of[k]:
+            entries.append(len(b) * dim + pos)
+            vals.append(scale * n0_[i])
+
+    for k, cells in enumerate(cells_of):
+        idles = [(i, pos) for i, pos in cells if not busy_[i]]
+        if not idles:
+            continue
+        pin, pin_pos = idles[0]
+        load(k, 1.0)
+        b.append(gamma_[k] * (1.0 - s_[k] - float(c[pin, k])) - ntask_[k])
+        for _, pos in idles[1:]:
+            entries += [len(b) * dim + pin_pos, len(b) * dim + pos]
+            vals += [1.0, -1.0]
+            b.append(0.0)
+    for i in sorted(busy_cells):
+        cells = busy_cells[i]
+        j = cells[0][0]
+        for k, _ in cells[1:]:
+            load(j, 1.0 / gamma_[j])
+            load(k, -1.0 / gamma_[k])
+            b.append((s_[k] + float(c[i, k])) - (s_[j] + float(c[i, j]))
+                     + ntask_[k] / gamma_[k] - ntask_[j] / gamma_[j])
+        for _, pos in cells:
+            entries.append(len(b) * dim + pos)
+            vals.append(1.0)
+        b.append(1.0)
+    assert len(b) == dim, "support bookkeeping produced a non-square system"
+
+    a = np.zeros((dim, dim))
+    a.put(entries, vals)
     probs = np.zeros((g, m))
-    for tasks in components:
-        _solve_component(gamma, s, c, n0, ntask, busy, tasks, groups_of, probs)
+    probs.T[sup.T] = solve_linear(a, b)  # the unknowns run task by task
     return probs
 
 

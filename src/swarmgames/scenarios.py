@@ -191,10 +191,16 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kind not in BUILTIN_NAMES:
             raise ScenarioError(f"unknown scenario kind {self.kind!r}")
+        for g in self.gamma:
+            # YAML 1.1 reads 1e3 as text and true as a bool
+            if isinstance(g, bool) or not isinstance(g, (int, float)):
+                raise ScenarioError(f"gamma: expected a number, got {g!r}")
         object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
         object.__setattr__(self, "events", tuple(self.events))
         if not _is_int(self.n_robots):
             raise ScenarioError("n_robots must be an integer")
+        if not _is_int(self.seed):
+            raise ScenarioError("seed must be an integer")
         if self.n_robots < 1:
             raise ScenarioError("n_robots must be >= 1")
         if not self.gamma or not all(_positive(g) for g in self.gamma):

@@ -195,13 +195,27 @@ def test_sim_non_finite_value_exits_1(tmp_path, capsys, scenario, override):
 
 
 @pytest.mark.parametrize("override,field", [("t_final=1e3", "t_final"),
-                                            ("colony.E_drain=1e-3", "colony.E_drain")])
+                                            ("colony.E_drain=1e-3", "colony.E_drain"),
+                                            ("gamma=[1e3, 7.2]", "gamma"),
+                                            ("gamma=[abc, 1]", "gamma"),
+                                            ("gamma=[true, 7.2]", "gamma")])
 def test_sim_number_read_as_text_exits_1(tmp_path, capsys, override, field):
-    # YAML 1.1 reads 1e3 as a string, not a float
+    # YAML 1.1 reads 1e3 as a string and true as a bool, not as numbers
     out = tmp_path / "o.csv"
     assert main(["sim", "--scenario", "colony", "--set", override, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert field in err and "expected a number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sim", "montecarlo"])
+@pytest.mark.parametrize("override", ["seed=abc", "seed=1.5", "seed=true"])
+def test_non_integer_seed_exits_1(tmp_path, capsys, command, override):
+    out = tmp_path / "out"
+    extra = ["--runs", "2", "--jobs", "1"] if command == "montecarlo" else []
+    assert main([command, "--scenario", "monitoring", "--set", override, "--t-final", "1",
+                 *extra, "--out", str(out)]) == 1
+    assert "seed must be an integer" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -92,3 +92,19 @@ def test_residual_contract():
         x = solve_linear(a, b)
         residual = np.max(np.abs(a @ x - b))
         assert residual <= 1e-9 * max(1.0, np.max(np.abs(b)))
+
+
+def test_singular_only_after_rounding():
+    # 0.3 * 0.3 rounds to a hair off 0.1 * 0.9, so LU meets no exact zero
+    # pivot; the condition number (about 8.7e16) flags the system
+    a = np.array([[0.1, 0.3], [0.3, 0.9]])
+    with pytest.raises(SingularSystem):
+        solve_linear(a, np.array([1.0, 3.0]))
+
+
+def test_one_singular_block_makes_the_system_singular():
+    a = np.zeros((4, 4))
+    a[:2, :2] = [[2.0, 1.0], [1.0, 3.0]]
+    a[2:, 2:] = [[0.1, 0.3], [0.3, 0.9]]
+    with pytest.raises(SingularSystem):
+        solve_linear(a, np.ones(4))

@@ -165,6 +165,9 @@ def test_counts_must_be_integers(bad):
         ColonyParams(n_sources=bad)
     with pytest.raises(ScenarioError, match="amount must be an integer"):
         Event(time=1.0, kind="robot_removal", amount=bad)
+    with pytest.raises(ScenarioError, match="seed must be an integer"):
+        ScenarioConfig(kind="colony", n_robots=12, gamma=(12.0, 7.2), v_max=1.0,
+                       r=0.25, t_final=600.0, seed=bad, colony=ColonyParams())
 
 
 def test_defaults_make_valid_problem_instances():
