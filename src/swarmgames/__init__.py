@@ -12,9 +12,6 @@ from .allocation import (
     MixedStrategy,
     ProblemInstance,
     allocate,
-    expected_task_count,
-    expected_utility,
-    sample_assignment,
     verify_equilibrium,
 )
 
@@ -25,9 +22,6 @@ __all__ = [
     "MixedStrategy",
     "ProblemInstance",
     "allocate",
-    "expected_task_count",
-    "expected_utility",
-    "sample_assignment",
     "verify_equilibrium",
 ]
 

@@ -26,8 +26,11 @@ over x >= 0 with sum_k x_ik <= n_0^i: the optimality conditions of that
 problem are the equilibrium conditions.  `allocate` first tries a
 closed-form warm start.  When that fails the KKT test it searches for
 the equilibrium support, then finishes with one linear solve of the
-equilibrium equations on that support.  There are two searches:
+equilibrium equations on that support.  There are three searches:
 
+- Principal pivoting on the (support, busy) pattern (Cottle, Pang &
+  Stone 1992, ch. 4): solve the equations on it, flip its largest KKT
+  violation and repeat, for at most _MAX_PIVOTS solves.
 - Gauss-Seidel best-response sweeps, where each group's step is an
   exact water-filling solution.  The number of sweeps grows with the
   number of groups g.
@@ -49,8 +52,8 @@ an ulp).  Larger rounds run in array code throughout.  The constant
 sits below the measured whole-round crossover (at par near 96 cells,
 the array code ahead from 128).  The same constant picks the search: a
 warm-start miss with at most `_SMALL_CELLS` merged cells runs the
-sweeps, which take a few hundred microseconds there; a larger one runs
-the interior method, and the sweeps only if it certifies nothing.
+pivots, a larger one the interior method, and either hands the round
+to the sweeps if it certifies nothing.
 
 `verify_equilibrium` checks any candidate strategy against the
 definition: a vectorised re-computation of the loads and utilities,
@@ -77,11 +80,8 @@ __all__ = [
     "MixedStrategy",
     "EquilibriumReport",
     "AllocationResult",
-    "expected_task_count",
-    "expected_utility",
     "assignment_cdf",
     "draw_action",
-    "sample_assignment",
     "allocate",
     "verify_equilibrium",
 ]
@@ -92,14 +92,15 @@ EPS_SUM = 1e-9    # accepted row-normalization error
 
 _CERT_TOL = 0.1 * EPS_EQ  # KKT residual allocate accepts before the oracle sees it
 _MAX_SWEEPS = 10_000      # best-response sweeps before allocate gives up
-_SMALL_CELLS = 64         # g x M at or below which rounds run in plain floats and sweep
+_SMALL_CELLS = 64         # g x M at or below which rounds run in plain floats and pivot
+_MAX_PIVOTS = 4           # pattern solves before the sweeps take over a small miss
 _MAX_INTERIOR = 50        # interior-point iterations before the sweeps take over
 _MU_POLISH = 1e-10        # mean complementarity, per idle robot, below which a pattern is polished
 _MU_FLOOR = 1e-15         # ... at which the interior method stops
 
 
 class AllocationError(RuntimeError):
-    """Best response hit its sweep cap without a certified equilibrium."""
+    """The sweeps, after the pivot or interior search, hit their cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +219,6 @@ class MixedStrategy:
                 raise ValueError(f"group {int(np.argmax(busy))} has no idle robots "
                                  "but row is not idle")
 
-    def supports(self, tol: float = EPS_ZERO) -> list[tuple[int, ...]]:
-        return [tuple(int(a) for a in np.flatnonzero(row > tol)) for row in self.probs]
-
 
 @dataclasses.dataclass(frozen=True)
 class EquilibriumReport:
@@ -235,9 +233,9 @@ class EquilibriumReport:
 class AllocationResult:
     """allocate's strategy, its oracle report (None without the check),
     and how the round was solved: `path` is "warm" (the closed-form warm
-    start), "interior" (the interior-point support search) or "sweeps"
-    (best-response sweeps), and `iterations` counts interior iterations
-    plus sweeps.
+    start), "pivot" (pattern pivots from the warm start), "interior" (the
+    interior-point support search) or "sweeps" (best-response sweeps),
+    and `iterations` counts pivots plus interior iterations plus sweeps.
     """
 
     strategy: MixedStrategy
@@ -245,35 +243,9 @@ class AllocationResult:
     path: str
     iterations: int
 
-    @property
-    def supports(self) -> list[tuple[int, ...]]:
-        return self.strategy.supports()
-
 
 # ---------------------------------------------------------------------------
-# game primitives
-
-
-def expected_task_count(instance: ProblemInstance, strategy: MixedStrategy, k: int) -> float:
-    """E[N_k] = |n_k| + sum_i n_0^i p_k^i for action k in 1..M."""
-    if not 1 <= k <= instance.n_tasks:
-        raise ValueError(f"task action {k} outside 1..{instance.n_tasks}")
-    probs = strategy.probs
-    if probs.shape != (instance.n_groups, instance.n_tasks + 1):
-        raise ValueError("strategy dimensions do not match instance")
-    committed = int(instance.counts[:, k].sum())
-    return float(committed + instance.counts[:, 0] @ probs[:, k])
-
-
-def expected_utility(instance: ProblemInstance, strategy: MixedStrategy,
-                     i: int, a: int) -> float:
-    """Expected utility of action a for a group-i robot; idling pays 0."""
-    if a == 0:
-        return 0.0
-    expected = expected_task_count(instance, strategy, a)
-    k = a - 1
-    gamma = instance.gamma[k]
-    return float((gamma - expected) / gamma - instance.signals[k] - instance.costs[i, k])
+# sampling
 
 
 def assignment_cdf(strategy: MixedStrategy, i: int) -> tuple[list[float], int]:
@@ -304,14 +276,6 @@ def draw_action(cdf: tuple[list[float], int], u: float) -> int:
     edges, last_positive = cdf
     a = bisect.bisect_right(edges, u)
     return a if a < len(edges) else last_positive  # u fell into rounding dust
-
-
-def sample_assignment(strategy: MixedStrategy, i: int, u: float) -> int:
-    """Inverse-CDF draw over actions (0, 1, ..., M) for group i.
-
-    Returns the first action whose cumulative probability exceeds u.
-    """
-    return draw_action(assignment_cdf(strategy, i), u)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +323,9 @@ def _solve_modes(gamma, s, c, n0, ntask, sup, busy):
     Returns the (g, M) task-probability matrix.
     """
     g, m = c.shape
-    target = gamma * (1.0 - s) - ntask
-
     if not busy.any():
         # Pinned tasks are independent; no linear system needed.
+        target = gamma * (1.0 - s) - ntask
         pool = (sup * n0[:, None]).sum(axis=0)
         cmin = np.where(sup, c, np.inf).min(axis=0)
         covered = pool > 0
@@ -463,6 +426,21 @@ def _certified(w, gamma, n0, ntask, probs):
     return not (bad_cell.any() or bad_row.any())
 
 
+def _certified_floats(free, c, n0, quote, probs):
+    """_certified on lists, given free = 1 - s and the prices
+    quote = (ntask + n0 @ probs) / gamma; returns the verdict, each row's
+    utilities and each row's mass."""
+    util = [[fk - ck - qk for fk, ck, qk in zip(free, cj, quote)] for cj in c]
+    mass = [_row_sum(row) for row in probs]
+    for row, uj, mj, nj in zip(probs, util, mass, n0):
+        best = max(max(uj), 0.0)
+        if (mj > 1.0 + EPS_ZERO or min(row) < -EPS_ZERO
+                or (mj < 1.0 - EPS_ZERO and best > _CERT_TOL and nj > 0.0)
+                or any(best - u > _CERT_TOL for p, u in zip(row, uj) if p > EPS_ZERO)):
+            return False, util, mass
+    return True, util, mass
+
+
 def _project(probs, n0, rows):
     """Nearest masses x >= 0 with sum_k x_ik <= n0_i to x = n0 * probs."""
     ones = [1.0] * probs.shape[1]
@@ -511,6 +489,51 @@ def _warm_start(gamma, s, c, n0, ntask):
     cmin = cost.min(axis=0)
     sup = (cost == cmin) & (gamma * (1.0 - s) - ntask - gamma * cmin > 0.0)
     return _solve_modes(gamma, s, c, n0, ntask, sup, np.zeros(n0.shape[0], dtype=bool))
+
+
+def _pivot(gamma, s, c, n0, ntask, warm):
+    """Principal pivoting on the support of the (g, M+1) strategy; a row
+    whose idle action is out of it is busy.
+
+    From the warm support, idle out of rows that overfill, each pivot
+    solves the pattern with _solve_modes and flips the action that fails
+    the KKT test by the most past its tolerance, against the row's value
+    (its first supported task's utility if busy, else 0): a task leaves
+    below the value or below probability 0 and joins above the value;
+    idle leaves a row that overfills or earns above 0 and rejoins a busy
+    row valued below 0.  Returns (probs, pivots, certified); probs is `warm`
+    if a solve is singular or violations outnumber the pivots left.
+    """
+    free, cost, cap = (1.0 - s).tolist(), c.tolist(), n0.tolist()
+    support = np.array([[_row_sum(row) <= 1.0 + EPS_ZERO] + [p > 0.0 for p in row]
+                        for row in warm.tolist()])
+    for pivot in range(1, _MAX_PIVOTS + 1):
+        try:
+            probs = _solve_modes(gamma, s, c, n0, ntask, support[:, 1:], ~support[:, 0])
+        except SingularSystem:
+            break
+        rows = probs.tolist()
+        quote = ((ntask + n0 @ probs) / gamma).tolist()
+        passed, util, mass = _certified_floats(free, cost, cap, quote, rows)
+        if passed:
+            return probs, pivot, True
+        worst, flip, violations = 0.0, None, 0
+        for i in [i for i, n in enumerate(cap) if n > 0.0]:
+            (idle, *on), ui = support[i].tolist(), util[i]
+            value = 0.0 if idle else ui[on.index(True)]
+            gaps = [max([mass[i] - 1.0 - EPS_ZERO] + [u - _CERT_TOL for u, b in zip(ui, on) if b])
+                    if idle else -value - _CERT_TOL]
+            gaps += [max(-p - EPS_ZERO, value - u - _CERT_TOL) if b else u - value - _CERT_TOL
+                     for p, u, b in zip(rows[i], ui, on)]
+            violations += sum(x > 0.0 for x in gaps)
+            gap = max(gaps)
+            if gap > worst:
+                worst, flip = gap, (i, gaps.index(gap))
+        # one flip per pivot: more violations than pivots left is out of reach
+        if flip is None or violations > _MAX_PIVOTS - pivot:
+            break
+        support[flip] ^= True
+    return warm, pivot, False
 
 
 def _equilibrium(gamma, s, c, n0, ntask, probs):
@@ -672,16 +695,28 @@ def _row_sum(xs):
     return total
 
 
+def _search(gamma, s, c, n0, ntask, warm):
+    """Steps 2 and 3 of allocate on the merged groups: (probs, path, iterations)."""
+    if c.size > _SMALL_CELLS:
+        probs, iterations, certified = _interior(gamma, s, c, n0, ntask)
+        path = "interior"
+    else:
+        probs, iterations, certified = _pivot(gamma, s, c, n0, ntask, warm)
+        path = "pivot"
+    if not certified:
+        probs, sweeps = _equilibrium(gamma, s, c, n0, ntask, probs)
+        path, iterations = "sweeps", iterations + sweeps
+    return probs, path, iterations
+
+
 def _allocate_small(instance: ProblemInstance) -> tuple[list[list[float]], str, int]:
     """allocate's round in plain floats; returns the (g, M+1) rows, the
     path and the iteration count.
 
     The same float operations in the same order as the array code:
-    _merge_groups, _warm_start, the KKT test of
-    _certified and the row assembly of _allocate_arrays.  Only the load sums
-    n0 @ probs may add in another order than BLAS does, which moves a
-    KKT residual by an ulp, far inside _CERT_TOL.  A warm start that
-    fails the test hands its masses to _equilibrium's sweeps.
+    _merge_groups, _warm_start, the KKT test of _certified (as
+    _certified_floats) and the row assembly of _allocate_arrays.  A warm
+    start that fails the test goes to _search, as in the array code.
     """
     gamma, s = instance.gamma.tolist(), instance.signals.tolist()
     counts = instance.counts.tolist()
@@ -718,18 +753,10 @@ def _allocate_small(instance: ProblemInstance) -> tuple[list[list[float]], str, 
                     probs[j][k] = shared
                     dots[k] += n0[j] * shared
         quote = [(nk + dk) / gk for nk, dk, gk in zip(ntask, dots, gamma)]
-        free = [1.0 - sk for sk in s]
-        for row, cj, nj in zip(probs, c, n0):
-            util = [fk - ck - qk for fk, ck, qk in zip(free, cj, quote)]
-            best = max(max(util), 0.0)
-            mass = _row_sum(row)
-            if (mass > 1.0 + EPS_ZERO
-                    or (mass < 1.0 - EPS_ZERO and best > _CERT_TOL and nj > 0.0)
-                    or any(p > EPS_ZERO and best - u > _CERT_TOL for p, u in zip(row, util))):
-                probs, iterations = _equilibrium(instance.gamma, instance.signals, np.array(c),
-                                                 np.array(n0), np.array(ntask), np.array(probs))
-                probs, path = probs.tolist(), "sweeps"
-                break
+        if not _certified_floats([1.0 - sk for sk in s], c, n0, quote, probs)[0]:
+            probs, path, iterations = _search(instance.gamma, instance.signals, np.array(c),
+                                              np.array(n0), np.array(ntask), np.array(probs))
+            probs = probs.tolist()
 
     out = []
     for i in range(g):
@@ -751,32 +778,33 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
 
     1. Each task goes to its cheapest group(s), everyone idling, and
        that support is solved in closed form (path "warm").
-    2. Otherwise, with more than _SMALL_CELLS merged cells (g x M), a
-       primal-dual interior-point method runs on Phi.  Once its
-       iterates settle on a (support, busy) pattern, the equilibrium
-       equations on that pattern are solved and the solution is
-       returned if it passes the KKT test (path "interior").
-    3. Otherwise, from the last solution cut down to the feasible set,
-       Gauss-Seidel sweeps replace each group's masses with its exact
-       best response to the others, and an exact line search along
-       each sweep's displacement extends the step (path "sweeps").
-       Once a (support, busy) pattern recurs, the equilibrium
-       equations on it are solved once.  A solution that fails the KKT
-       test is projected onto the feasible set and kept if that lowers
-       Phi.  Where ties make the equations singular, the sweep iterate
-       is returned as soon as it passes the test itself.  The interior
-       method hands over to the sweeps when its polish is singular or
-       it reaches _MAX_INTERIOR iterations uncertified.
+    2. Otherwise, with at most _SMALL_CELLS merged cells (g x M), each
+       pivot solves the equilibrium equations on a (support, busy)
+       pattern, from the warm start's, and flips the pattern's largest
+       KKT violation until a solution passes the test (path "pivot").
+       With more, an interior-point method runs on Phi until a pattern
+       its iterates settle on solves to one (path "interior").
+    3. Otherwise, from the warm start or the last interior iterate cut
+       down to the feasible set, Gauss-Seidel sweeps replace each
+       group's masses with its exact best response to the others, and
+       an exact line search along each sweep's displacement extends the
+       step (path "sweeps").  Once a pattern recurs, the equations on it
+       are solved once.  A solution that fails the KKT test is projected
+       onto the feasible set and kept if that lowers Phi.  Where ties
+       make the equations singular, the sweep iterate is returned as
+       soon as it passes the test itself.  The pivots hand over to the
+       sweeps when a solve is singular or more KKT violations remain
+       than pivots of _MAX_PIVOTS, the interior method when its polish
+       is singular or it reaches _MAX_INTERIOR iterations uncertified.
 
-    Rounds of at most _SMALL_CELLS cells run the merge, step 1 and the
-    row assembly in plain floats, bit-identical to the array code, and
-    hand a warm start that fails the KKT test to the array code's
-    sweeps; larger rounds run in array code throughout.
+    Rounds of at most _SMALL_CELLS cells run the merge, step 1, its KKT
+    test and the row assembly in plain floats, bit-identical to the
+    array code; steps 2 and 3 are shared.
 
     Groups without idle robots get degenerate idle rows.  With `check`
     the returned strategy is certified by the independent oracle.  The
-    result's `path` and `iterations` say which step ended the round and
-    how many interior iterations and sweeps it took.  Raises
+    result's `path` says which step ended the round and `iterations`
+    counts its pivots plus interior iterations plus sweeps.  Raises
     AllocationError only if the sweeps reach their cap.
     """
     if instance.costs.size <= _SMALL_CELLS:
@@ -800,13 +828,7 @@ def _allocate_arrays(instance: ProblemInstance) -> tuple[np.ndarray, str, int]:
     probs_m = _warm_start(gamma, s, c, n0, ntask)
     path, iterations = "warm", 0
     if not _certified(1.0 - s - c, gamma, n0, ntask, probs_m):
-        certified = False
-        if c.size > _SMALL_CELLS:
-            probs_m, iterations, certified = _interior(gamma, s, c, n0, ntask)
-            path = "interior"
-        if not certified:
-            probs_m, sweeps = _equilibrium(gamma, s, c, n0, ntask, probs_m)
-            path, iterations = "sweeps", iterations + sweeps
+        probs_m, path, iterations = _search(gamma, s, c, n0, ntask, probs_m)
 
     probs = np.zeros((g, m + 1))
     probs[:, 0] = 1.0

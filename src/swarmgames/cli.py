@@ -352,6 +352,8 @@ def cmd_montecarlo(args) -> int:
         return _fail(str(exc), 1)
     if args.runs < 1:
         return _fail("--runs must be at least 1", 1)
+    if args.jobs is not None and args.jobs < 0:
+        return _fail("--jobs must be at least 0", 1)
     base = args.seed if args.seed is not None else config.seed
     os.makedirs(args.out, exist_ok=True)
     mapping = to_mapping(config)
@@ -406,7 +408,7 @@ def _add_scenario_flags(parser, *, runs: bool) -> None:
     if runs:
         parser.add_argument("--runs", type=int, required=True, help="number of runs")
         parser.add_argument("--jobs", type=int, default=None,
-                            help="parallel workers (default: all cores)")
+                            help="parallel workers (default or 0: all cores)")
 
 
 def build_parser() -> argparse.ArgumentParser:

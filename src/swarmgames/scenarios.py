@@ -211,6 +211,8 @@ class ScenarioConfig:
         # times become step counts by round(time / dt)
         if not all(t / self.dt < math.inf for t in (self.t_final, *(e.time for e in self.events))):
             raise ScenarioError("t_final and event times must be a finite number of steps")
+        if round(self.t_final / self.dt) < 1:
+            raise ScenarioError(f"t_final={self.t_final} is under half a step of dt={self.dt}")
         if self.kind == "colony":
             if self.colony is None or self.monitoring is not None:
                 raise ScenarioError("colony scenario needs exactly the colony section")

@@ -22,9 +22,8 @@ from swarmgames.allocation import (
     MixedStrategy,
     ProblemInstance,
     allocate,
-    expected_task_count,
-    expected_utility,
-    sample_assignment,
+    assignment_cdf,
+    draw_action,
     verify_equilibrium,
 )
 
@@ -72,6 +71,42 @@ def solve_homogeneous_idle(instance):
     if abs(p0) < EPS_ZERO:
         p0 = 0.0
     return MixedStrategy(np.concatenate(([p0], p)).reshape(1, -1))
+
+
+# Reference helpers: the game's definitions one entry at a time, for
+# hand-computed checks and as the loop oracle's building blocks.
+
+
+def expected_task_count(instance, strategy, k):
+    """E[N_k] = |n_k| + sum_i n_0^i p_k^i for action k in 1..M."""
+    if not 1 <= k <= instance.n_tasks:
+        raise ValueError(f"task action {k} outside 1..{instance.n_tasks}")
+    probs = strategy.probs
+    if probs.shape != (instance.n_groups, instance.n_tasks + 1):
+        raise ValueError("strategy dimensions do not match instance")
+    committed = int(instance.counts[:, k].sum())
+    return float(committed + instance.counts[:, 0] @ probs[:, k])
+
+
+def expected_utility(instance, strategy, i, a):
+    """Expected utility of action a for a group-i robot; idling pays 0."""
+    if a == 0:
+        return 0.0
+    expected = expected_task_count(instance, strategy, a)
+    k = a - 1
+    gamma = instance.gamma[k]
+    return float((gamma - expected) / gamma - instance.signals[k] - instance.costs[i, k])
+
+
+def sample_assignment(strategy, i, u):
+    """Inverse-CDF draw over actions (0, 1, ..., M) for group i: the first
+    action whose cumulative probability exceeds u."""
+    return draw_action(assignment_cdf(strategy, i), u)
+
+
+def supports(strategy, tol=EPS_ZERO):
+    """Each group's actions with probability above tol."""
+    return [tuple(int(a) for a in np.flatnonzero(row > tol)) for row in strategy.probs]
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +350,14 @@ def test_allocate_two_task_split():
     assert result.strategy.probs[0, 1] == pytest.approx(0.7, abs=1e-9)
     assert result.strategy.probs[0, 2] == pytest.approx(0.3, abs=1e-9)
     assert result.strategy.probs[0, 0] == 0.0
-    assert result.supports == [(1, 2)]
+    assert supports(result.strategy) == [(1, 2)]
     assert result.report.valid
 
 
 def test_allocate_idle_feasible_single_task():
     result = allocate(homogeneous([10.0], [0.5], idle=5, assigned=[2]))
     assert result.strategy.probs[0].tolist() == pytest.approx([0.4, 0.6], abs=1e-12)
-    assert result.supports == [(0, 1)]
+    assert supports(result.strategy) == [(0, 1)]
     assert result.report.valid
 
 
@@ -337,7 +372,7 @@ def test_allocate_near_satisfied_signals():
 def test_allocate_no_idle_robots_is_degenerate():
     result = allocate(homogeneous([10.0], [0.2], idle=0, assigned=[3]))
     assert result.strategy.probs[0].tolist() == [1.0, 0.0]
-    assert result.supports == [(0,)]
+    assert supports(result.strategy) == [(0,)]
     assert result.report.valid
 
 
@@ -604,7 +639,6 @@ def test_allocate_check_flag_only_adds_the_report(inst):
     assert checked.strategy.probs.tobytes() == unchecked.strategy.probs.tobytes()
     assert unchecked.report is None
     assert checked.report is not None
-    assert checked.supports == checked.strategy.supports()
 
 
 @st.composite
@@ -625,10 +659,10 @@ def small_rounds(draw):
 @example(_pooled_draw(random.Random("1088/4/5"), 4, 5))
 def test_float_round_matches_array_round(inst):
     # Singleton draws often miss the warm start, so the hand-off from the
-    # float warm start to the sweeps is covered along with the hits.  A
-    # spurious miss would still reach the same equilibrium, so the paths
-    # must also agree on whether the sweeps ran (they start with _project).
-    # Both run their misses through the sweeps on rounds this small.
+    # float warm start to the pivots and the sweeps is covered along with
+    # the hits.  A spurious miss would still reach the same equilibrium, so
+    # the paths must also agree on whether the sweeps ran (they start with
+    # _project).
     sweeps = []
     project = allocation._project
     with pytest.MonkeyPatch.context() as mp:
@@ -667,6 +701,52 @@ def test_interior_rounds_match_the_sweeps(inst):
     assert np.all(np.abs(loads - sweep_loads(inst)) <= 2 * allocation._CERT_TOL * inst.gamma)
 
 
+@st.composite
+def kkt_cases(draw):
+    """A small round's (g, M) task probabilities for the KKT tests: allocate's
+    own, or those with a negative cell, an overfull row or relative noise."""
+    inst = draw(small_rounds())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = allocate(inst, check=False).strategy.probs[:, 1:].copy()
+    fault = draw(st.sampled_from(["none", "negative", "overfull", "noise"]))
+    i, k = rng.integers(inst.n_groups), rng.integers(inst.n_tasks)
+    if fault == "negative":
+        probs[i, k] = -float(rng.choice([1e-3, 1e-11, 1e-13]))
+    elif fault == "overfull":
+        probs[i] += (1.0 + float(rng.choice([1e-3, 1e-11])) - probs[i].sum()) / inst.n_tasks
+    elif fault == "noise":
+        probs *= 1.0 + float(rng.choice([1e-6, 1e-9, 1e-12])) * rng.standard_normal(probs.shape)
+    return inst, probs
+
+
+@settings(max_examples=300, deadline=None)
+@given(kkt_cases())
+def test_float_kkt_test_matches_the_array_test(case):
+    inst, probs = case
+    n0, ntask = inst.idle_counts.astype(float), inst.task_totals.astype(float)
+    quote = (ntask + n0 @ probs) / inst.gamma
+    passed, util, mass = allocation._certified_floats(
+        (1.0 - inst.signals).tolist(), inst.costs.tolist(), n0.tolist(), quote.tolist(),
+        probs.tolist())
+    w = 1.0 - inst.signals - inst.costs
+    assert passed == allocation._certified(w, inst.gamma, n0, ntask, probs)
+    assert np.array_equal(util, w - quote)
+    assert np.array_equal(mass, probs.sum(axis=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_rounds())
+@example(MONITORING_CYCLE)
+def test_pivot_rounds_match_the_sweeps(inst):
+    result = allocate(inst)
+    assert result.report.valid, result.report
+    if result.path != "pivot":
+        return
+    assert 1 <= result.iterations <= allocation._MAX_PIVOTS
+    loads = inst.task_totals + inst.idle_counts @ result.strategy.probs[:, 1:]
+    assert np.all(np.abs(loads - sweep_loads(inst)) <= 2 * allocation._CERT_TOL * inst.gamma)
+
+
 def singleton_round(rng, g, m):
     """g singleton groups with nothing committed, the shape monitoring builds."""
     counts = np.zeros((g, m + 1), dtype=np.int64)
@@ -699,12 +779,19 @@ def test_allocate_reports_its_path():
     # its ten smaller ones
     rng = np.random.default_rng(2501)
     shapes = [(8, 4)] * 3 + [(8, 8)] * 3 + [(16, 8)] * 2 + [(32, 8), (32, 16), (64, 16)]
-    *_, largest = [singleton_round(rng, g, m) for g, m in shapes]
-    interior = allocate(largest)
+    rounds = [singleton_round(rng, g, m) for g, m in shapes]
+    interior = allocate(rounds[-1])
     assert interior.path == "interior" and interior.iterations > 0
     assert interior.report.valid
+    # the first 8 x 8 round needs 17 pivots; after the first, more actions
+    # violate the KKT test than pivots are left, so the sweeps take it over
+    fallback = allocate(rounds[3])
+    assert (fallback.path, fallback.iterations) == ("sweeps", 1 + 3)
+    assert fallback.report.valid
+    # a monitoring miss: the warm start overfills groups 0 and 3, which
+    # start busy, and the second solve certifies once group 1 joins the third task
     cycle = allocate(MONITORING_CYCLE)
-    assert cycle.path == "sweeps" and cycle.iterations > 0
+    assert (cycle.path, cycle.iterations) == ("pivot", 2)
 
 
 # ---------------------------------------------------------------------------

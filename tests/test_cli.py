@@ -219,6 +219,16 @@ def test_non_integer_seed_exits_1(tmp_path, capsys, command, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sim", "montecarlo"])
+def test_horizon_under_half_a_step_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    extra = ["--runs", "1", "--jobs", "1"] if command == "montecarlo" else []
+    assert main([command, "--scenario", "monitoring", "--t-final", "0.0001",
+                 *extra, "--out", str(out)]) == 1
+    assert "t_final=0.0001 is under half a step of dt=0.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sim_dotted_event_override(tmp_path):
     out = tmp_path / "ev.csv"
     assert main(["sim", "--scenario", "colony", "--seed", "0",
@@ -391,3 +401,11 @@ def test_montecarlo_records_failed_allocation(tmp_path, capsys, monkeypatch):
 def test_montecarlo_rejects_zero_runs(tmp_path):
     assert main(["montecarlo", "--scenario", "colony", "--runs", "0",
                  "--seed", "0", "--out", str(tmp_path / "x")]) == 1
+
+
+def test_montecarlo_rejects_negative_jobs(tmp_path, capsys):
+    # 0, like the default, means all cores; a negative count is an error
+    assert main(["montecarlo", "--scenario", "colony", "--runs", "2", "--jobs", "-3",
+                 "--seed", "0", "--out", str(tmp_path / "x")]) == 1
+    assert "--jobs must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()

@@ -221,13 +221,6 @@ def test_colony_conservation_residual_tiny():
     assert metrics.max_conservation_residual <= 1e-9
 
 
-def test_zero_step_colony_run_reports_start_energy():
-    # t_final below half a step rounds to no steps at all
-    metrics = run(dataclasses.replace(colony_default(), t_final=0.04), seed=0)
-    assert metrics.rows == []
-    assert metrics.final_energy == colony_default().colony.E_start
-
-
 def test_cargo_incomplete_until_the_goal_is_delivered():
     one_unit = (Event(time=5.0, kind="cargo_delivery", amount=1, location=(20.0, 0.0)),)
     cfg = dataclasses.replace(colony_default(), events=one_unit)

@@ -156,6 +156,16 @@ def test_validation_catches_inconsistencies():
         MonitoringParams(B=0.0)
 
 
+@pytest.mark.parametrize("t_final,dt", [(0.0001, 0.1), (0.04, 0.1), (0.05, 0.1), (0.4, 1.0)])
+def test_horizon_must_hold_a_step(t_final, dt):
+    # the engine runs round(t_final / dt) steps; fewer than one would exit 0 with no rows
+    with pytest.raises(ScenarioError, match=rf"t_final={t_final} .*dt={dt}"):
+        ScenarioConfig(kind="colony", n_robots=12, gamma=(12.0, 7.2), v_max=1.0,
+                       r=0.25, t_final=t_final, dt=dt, colony=ColonyParams())
+    ScenarioConfig(kind="colony", n_robots=12, gamma=(12.0, 7.2), v_max=1.0,
+                   r=0.25, t_final=dt, dt=dt, colony=ColonyParams())
+
+
 @pytest.mark.parametrize("bad", [2.5, 2.0, True, "3"])
 def test_counts_must_be_integers(bad):
     with pytest.raises(ScenarioError, match="n_robots must be an integer"):
