@@ -26,7 +26,10 @@ over x >= 0 with sum_k x_ik <= n_0^i: the optimality conditions of that
 problem are the equilibrium conditions.  `allocate` first tries a
 closed-form warm start.  When that fails the KKT test it searches for
 the equilibrium support, then finishes with one linear solve of the
-equilibrium equations on that support.  There are three searches:
+equilibrium equations on that support.  A busy group (one whose idle
+action is out of the support) with a single supported task puts its
+whole mass there, so only the cells the equations couple are unknowns.
+There are three searches:
 
 - Principal pivoting on the (support, busy) pattern (Cottle, Pang &
   Stone 1992, ch. 4): solve the equations on it, flip its largest KKT
@@ -38,7 +41,8 @@ equilibrium equations on that support.  There are three searches:
   on Phi.  It needs a number of iterations that barely depends on g,
   and each iteration costs one M x M solve plus vectorised (g, M+1)
   passes, because each group couples only its own cells and the tasks
-  couple through M loads.
+  couple through M loads.  Once its iterates are close to the optimum,
+  each new pattern they show is solved at once.
 
 Most rounds a simulation meets are small (the monitoring scenario's
 4 groups x 5 tasks, the colony's 1 x 2), and most of those end at the
@@ -53,7 +57,9 @@ sits below the measured whole-round crossover (at par near 96 cells,
 the array code ahead from 128).  The same constant picks the search: a
 warm-start miss with at most `_SMALL_CELLS` merged cells runs the
 pivots, a larger one the interior method, and either hands the round
-to the sweeps if it certifies nothing.
+to the sweeps if it certifies nothing.  Against the sweeps, the
+interior method is about level on 16 x 8 singleton misses (median time
+ratio 0.93 over 15 draws, 0.69 to 1.61) and ahead from 32 x 8 (0.43).
 
 `verify_equilibrium` checks any candidate strategy against the
 definition: a vectorised re-computation of the loads and utilities,
@@ -95,7 +101,9 @@ _MAX_SWEEPS = 10_000      # best-response sweeps before allocate gives up
 _SMALL_CELLS = 64         # g x M at or below which rounds run in plain floats and pivot
 _MAX_PIVOTS = 4           # pattern solves before the sweeps take over a small miss
 _MAX_INTERIOR = 50        # interior-point iterations before the sweeps take over
-_MU_POLISH = 1e-10        # mean complementarity, per idle robot, below which a pattern is polished
+_MU_POLISH = 1e-6         # mean complementarity, per idle robot, below which each new pattern
+                          # the interior iterates show is polished once
+_MU_TIE = 1e-10           # ... below which a pattern whose polish was singular ends the search
 _MU_FLOOR = 1e-15         # ... at which the interior method stops
 
 
@@ -292,35 +300,34 @@ def _merge_groups(costs: np.ndarray, counts: np.ndarray):
     """Pool groups with bit-identical cost vectors (they are one group).
 
     Returns each group's merged index, the merged counts and the merged
-    groups' cost rows.
+    groups' cost rows, merged groups in order of first appearance.
     """
-    index_of = {}
-    merged_idx = np.empty(costs.shape[0], dtype=int)
-    rows, first = [], []
-    for i in range(costs.shape[0]):
-        key = costs[i].tobytes()
-        if key not in index_of:
-            index_of[key] = len(rows)
-            rows.append(counts[i].copy())
-            first.append(i)
-        else:
-            rows[index_of[key]] += counts[i]
-        merged_idx[i] = index_of[key]
-    return merged_idx, np.array(rows), costs[first]
+    keys = np.ascontiguousarray(costs).view(np.dtype((np.void, costs.itemsize * costs.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    merged_idx = np.argsort(order)[inverse]
+    merged = np.zeros((order.size, counts.shape[1]), dtype=counts.dtype)
+    np.add.at(merged, merged_idx, counts)
+    return merged_idx, merged, costs[first[order]]
 
 
 def _solve_modes(gamma, s, c, n0, ntask, sup, busy):
     """Solve the equilibrium equations for fixed supports and modes.
 
-    The unknowns are the supported cells' probabilities, task by task.
-    Each supported task with idle-mode groups pins its expected head
-    count to the first such group's zero-utility level and equates the
-    others' probabilities with it; each busy group equates its utility
-    on its first supported task with every other and normalises its row.
-    That is one square system over the whole support, solved with one
-    solve_linear call; ties make it singular.  Entries can be negative
-    on a support that holds no equilibrium; the caller tests the result.
-    Returns the (g, M) task-probability matrix.
+    A busy group with one supported task puts probability 1 on it, so its
+    load is a constant and moves to the right-hand side.  The unknowns
+    are the other supported cells' probabilities.  Each supported task
+    with idle-mode groups pins its expected head count to the first such
+    group's zero-utility level and equates the others' probabilities
+    with it; each remaining busy group equates its utility on its first
+    supported task with every other and normalises its row.  That is one
+    square system over the coupled cells, solved with one solve_linear
+    call (none when no cell is left).  Where the busy groups and their
+    tasks close a cycle, the pinned tasks counting as one node, mass
+    moved around it keeps every row sum and load; such a system is
+    reported singular without a solve, and solve_linear judges the rest.
+    Entries can be negative on a support that holds no equilibrium; the
+    caller tests the result.  Returns the (g, M) task-probability matrix.
     """
     g, m = c.shape
     if not busy.any():
@@ -340,25 +347,40 @@ def _solve_modes(gamma, s, c, n0, ntask, sup, busy):
     # plain floats: numpy scalar arithmetic costs more than these few rows
     gamma_, s_, n0_, ntask_ = gamma.tolist(), s.tolist(), n0.tolist(), ntask.tolist()
     busy_ = busy.tolist()
+    more = {}  # busy group: whether it supports more than one task
+    for i in groups:
+        if busy_[i]:
+            more[i] = i in more
+    lone = {i for i, several in more.items() if not several}
     cells_of = [[] for _ in range(m)]  # (group, unknown) per task
-    busy_cells = {}                    # (task, unknown) per busy group
-    for pos, (i, k) in enumerate(zip(groups, tasks)):
+    busy_cells = {}                    # (task, unknown) per coupled busy group
+    flat, ones = [], []                # (g, M) indices of the unknowns and of the lone cells
+    for i, k in zip(groups, tasks):
+        if i in lone:
+            ntask_[k] += n0_[i]
+            ones.append(i * m + k)
+            continue
+        pos = len(flat)
+        flat.append(i * m + k)
         cells_of[k].append((i, pos))
         if busy_[i]:
             busy_cells.setdefault(i, []).append((k, pos))
-    dim = len(groups)
+    dim = len(flat)
     entries, vals, b = [], [], []  # a's flat indices and values, row by row
 
     def load(k, scale):
-        """Task k's expected head count times scale, into the next row."""
+        """Task k's expected head count, less its constant part, times
+        scale, into the next row."""
         for i, pos in cells_of[k]:
             entries.append(len(b) * dim + pos)
             vals.append(scale * n0_[i])
 
+    link = {}  # tasks joined through coupled busy groups; pinned tasks hang off node -1
     for k, cells in enumerate(cells_of):
         idles = [(i, pos) for i, pos in cells if not busy_[i]]
         if not idles:
             continue
+        link[k] = -1
         pin, pin_pos = idles[0]
         load(k, 1.0)
         b.append(gamma_[k] * (1.0 - s_[k] - float(c[pin, k])) - ntask_[k])
@@ -368,6 +390,16 @@ def _solve_modes(gamma, s, c, n0, ntask, sup, busy):
             b.append(0.0)
     for i in sorted(busy_cells):
         cells = busy_cells[i]
+        tops = set()
+        for k, _ in cells:
+            while k in link:
+                k = link[k]
+            tops.add(k)
+        if len(tops) < len(cells):  # two of its tasks are already joined
+            raise SingularSystem("the busy groups' supports close a cycle")
+        first = tops.pop()
+        for node in tops:
+            link[node] = first
         j = cells[0][0]
         for k, _ in cells[1:]:
             load(j, 1.0 / gamma_[j])
@@ -380,10 +412,13 @@ def _solve_modes(gamma, s, c, n0, ntask, sup, busy):
         b.append(1.0)
     assert len(b) == dim, "support bookkeeping produced a non-square system"
 
-    a = np.zeros((dim, dim))
-    a.put(entries, vals)
     probs = np.zeros((g, m))
-    probs.T[sup.T] = solve_linear(a, b)  # the unknowns run task by task
+    if ones:
+        probs.put(ones, 1.0)
+    if dim:
+        a = np.zeros((dim, dim))
+        a.put(entries, vals)
+        probs.put(flat, solve_linear(a, b))
     return probs
 
 
@@ -585,7 +620,7 @@ def _equilibrium(gamma, s, c, n0, ntask, probs):
 
 def _step_to_boundary(v, dv):
     """Largest step in (0, 1] along dv that keeps the positive v nonnegative."""
-    return 1.0 / max(1.0, float(np.max(-dv / v)))
+    return 1.0 / max(1.0, -float((dv / v).min()))
 
 
 def _interior(gamma, s, c, n0, ntask):
@@ -599,9 +634,13 @@ def _interior(gamma, s, c, n0, ntask):
     matrix Gamma + A S A^T, with S = x / z and A the per-group
     projection of the task columns.
 
-    Once the mean complementarity mu is small and the pattern x > z
-    (support, and busy = idle slack below its dual) is the same on two
-    iterations in a row, the pattern is polished with _solve_modes.
+    Once the mean complementarity mu is below _MU_POLISH per idle robot,
+    each new pattern x > z (support, and busy = idle slack below its
+    dual) is polished once with _solve_modes, on the iteration it first
+    appears.  A singular polish (its support closes a cycle: at a tied
+    optimum, or on a pattern the iterates only pass through) marks the
+    pattern and the iterations go on; a marked pattern met once mu is
+    below _MU_TIE ends the search.
     Returns (probs, iterations, certified): the polished (g, M) task
     probabilities if they pass the KKT test, else the last iterate's
     for the sweeps to start from.
@@ -619,43 +658,48 @@ def _interior(gamma, s, c, n0, ntask):
     z[:, 1:] = -y[:, None] - util  # dual feasible: every z >= 1
     sup = np.zeros(c.shape, dtype=bool)
     busy = np.zeros(n0.shape[0], dtype=bool)
-    mu_polish, mu_floor = _MU_POLISH * cap.mean(), _MU_FLOOR * cap.mean()
-    diagonal = np.diag_indices(m)
-    pattern, polished = None, set()
+    mean = cap.mean()
+    mu_polish, mu_tie, mu_floor = _MU_POLISH * mean, _MU_TIE * mean, _MU_FLOOR * mean
+    polished, singular = set(), set()
     for it in range(1, _MAX_INTERIOR + 1):
         xz = x * z
         mu = float(xz.sum()) / size
-        above = x > z
-        last, pattern = pattern, above.tobytes()
-        if pattern == last and mu < mu_polish and pattern not in polished:
-            polished.add(pattern)
-            sup[live] = above[:, 1:]
-            busy[live] = ~above[:, 0]
-            try:
-                probs = _solve_modes(gamma, s, c, n0, ntask, sup, busy)
-            except SingularSystem:
+        if mu < mu_polish:
+            above = x > z
+            pattern = above.tobytes()
+            if pattern not in polished:
+                polished.add(pattern)
+                sup[live] = above[:, 1:]
+                busy[live] = ~above[:, 0]
+                try:
+                    probs = _solve_modes(gamma, s, c, n0, ntask, sup, busy)
+                except SingularSystem:
+                    singular.add(pattern)
+                else:
+                    if _certified(w_all, gamma, n0, ntask, probs):
+                        return probs, it, True
+            if pattern in singular and mu < mu_tie:
                 break  # ties leave the masses free; the sweeps test their iterate
-            if _certified(w_all, gamma, n0, ntask, probs):
-                return probs, it, True
         if mu < mu_floor:
             break
-        # dual and primal residuals: zero up to rounding, as the start is feasible
-        rd = -z
-        rd[:, 0] -= y
-        rd[:, 1:] += ((ntask + x[:, 1:].sum(axis=0)) / gamma - w) - y[:, None]
-        rp = x.sum(axis=1) - cap
+        # minus the dual and primal residuals: zero up to rounding, as the
+        # start is feasible
+        rd = z.copy()
+        rd[:, 0] += y
+        rd[:, 1:] -= ((ntask + np.einsum("ij->j", x[:, 1:])) / gamma - w) - y[:, None]
+        rp = cap - np.einsum("ij->i", x)
         scale = x / z
-        row = scale.sum(axis=1)
+        row = np.einsum("ij->i", scale)
         task = scale[:, 1:]
         share = task / row[:, None]
         coupling = task.T @ share
         coupling *= -1.0
-        coupling[diagonal] += gamma + task.sum(axis=0)
+        coupling.flat[::m + 1] += gamma + np.einsum("ij->j", task)
 
         def newton(rc):
-            r = -rd - rc / x
-            a = (-rp - (scale * r).sum(axis=1)) / row
-            t = np.linalg.solve(coupling, (task * (r[:, 1:] + a[:, None])).sum(axis=0))
+            r = rd - rc / x
+            a = (rp - np.einsum("ij,ij->i", scale, r)) / row
+            t = np.linalg.solve(coupling, np.einsum("ij,ij->j", task, r[:, 1:] + a[:, None]))
             dy = a + share @ t
             dx = scale * (r + dy[:, None])
             dx[:, 1:] -= task * t
@@ -663,7 +707,7 @@ def _interior(gamma, s, c, n0, ntask):
 
         dx, _, dz = newton(xz)
         ap, ad = _step_to_boundary(x, dx), _step_to_boundary(z, dz)
-        mu_aff = float(np.sum((x + ap * dx) * (z + ad * dz))) / size
+        mu_aff = float(np.einsum("ij,ij->", x + ap * dx, z + ad * dz)) / size
         dx, dy, dz = newton(xz + dx * dz - (mu_aff / mu) ** 3 * mu)
         ap, ad = 0.99 * _step_to_boundary(x, dx), 0.99 * _step_to_boundary(z, dz)
         x, y, z = x + ap * dx, y + ad * dy, z + ad * dz
@@ -782,8 +826,12 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
        pivot solves the equilibrium equations on a (support, busy)
        pattern, from the warm start's, and flips the pattern's largest
        KKT violation until a solution passes the test (path "pivot").
-       With more, an interior-point method runs on Phi until a pattern
-       its iterates settle on solves to one (path "interior").
+       With more, an interior-point method runs on Phi; once its mean
+       complementarity is below _MU_POLISH per idle robot, each new
+       pattern its iterates show is solved once, and the first solution
+       that passes the test ends the round (path "interior").  In every
+       solve a busy group on one task is a constant load, and only the
+       coupled cells are unknowns.
     3. Otherwise, from the warm start or the last interior iterate cut
        down to the feasible set, Gauss-Seidel sweeps replace each
        group's masses with its exact best response to the others, and
@@ -794,8 +842,9 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
        make the equations singular, the sweep iterate is returned as
        soon as it passes the test itself.  The pivots hand over to the
        sweeps when a solve is singular or more KKT violations remain
-       than pivots of _MAX_PIVOTS, the interior method when its polish
-       is singular or it reaches _MAX_INTERIOR iterations uncertified.
+       than pivots of _MAX_PIVOTS, the interior method when a pattern
+       whose solve was singular recurs below _MU_TIE or it reaches
+       _MAX_INTERIOR iterations uncertified.
 
     Rounds of at most _SMALL_CELLS cells run the merge, step 1, its KKT
     test and the row assembly in plain floats, bit-identical to the

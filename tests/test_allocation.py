@@ -26,6 +26,7 @@ from swarmgames.allocation import (
     draw_action,
     verify_equilibrium,
 )
+from swarmgames.linalg import SingularSystem, solve_linear
 
 
 def homogeneous(gamma, signals, idle, assigned=None, costs=None):
@@ -701,6 +702,101 @@ def test_interior_rounds_match_the_sweeps(inst):
     assert np.all(np.abs(loads - sweep_loads(inst)) <= 2 * allocation._CERT_TOL * inst.gamma)
 
 
+def solve_modes_dense(gamma, s, c, n0, ntask, sup, busy):
+    """Reference for allocation._solve_modes: the equilibrium equations
+    on the whole support, one unknown per supported cell, busy groups on
+    a single task included, in one dense solve.
+
+    Per supported task with idle-mode groups: its expected head count at
+    the first such group's zero-utility level, and equal probabilities
+    for the others.  Per busy group: equal utility on every supported
+    task, and a row summing to 1.
+    """
+    g, m = c.shape
+    cells = list(zip(*np.nonzero(sup.T)))  # (task, group), task by task
+    column = {cell: pos for pos, cell in enumerate(cells)}
+    rows, rhs = [], []
+
+    def load(k, scale, row):
+        for i in range(g):
+            if (k, i) in column:
+                row[column[k, i]] += scale * n0[i]
+
+    for k in range(m):
+        idles = [i for i in range(g) if sup[i, k] and not busy[i]]
+        if not idles:
+            continue
+        row = np.zeros(len(cells))
+        load(k, 1.0, row)
+        rows.append(row)
+        rhs.append(gamma[k] * (1.0 - s[k] - c[idles[0], k]) - ntask[k])
+        for i in idles[1:]:
+            row = np.zeros(len(cells))
+            row[column[k, idles[0]]], row[column[k, i]] = 1.0, -1.0
+            rows.append(row)
+            rhs.append(0.0)
+    for i in np.flatnonzero(busy):
+        tasks = np.flatnonzero(sup[i])
+        if not tasks.size:
+            continue
+        j = tasks[0]
+        for k in tasks[1:]:
+            row = np.zeros(len(cells))
+            load(j, 1.0 / gamma[j], row)
+            load(k, -1.0 / gamma[k], row)
+            rows.append(row)
+            rhs.append(s[k] + c[i, k] - s[j] - c[i, j] + ntask[k] / gamma[k] - ntask[j] / gamma[j])
+        row = np.zeros(len(cells))
+        for k in tasks:
+            row[column[k, i]] = 1.0
+        rows.append(row)
+        rhs.append(1.0)
+    probs = np.zeros((g, m))
+    if cells:
+        probs.T[sup.T] = solve_linear(np.array(rows), np.array(rhs))
+    return probs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(instances(), small_rounds()))
+@example(MONITORING_CYCLE)
+def test_solve_modes_matches_the_dense_reference(inst):
+    # every pattern allocate solves on this round, warm start included
+    systems = []
+    solve = allocation._solve_modes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(allocation, "_solve_modes", lambda *a: systems.append(a) or solve(*a))
+        allocate(inst, check=False)
+    for system in systems:
+        try:
+            reference = solve_modes_dense(*system)
+        except SingularSystem:
+            with pytest.raises(SingularSystem):
+                solve(*system)
+        else:
+            assert np.max(np.abs(solve(*system) - reference), initial=0.0) <= 1e-12
+
+
+def test_a_support_cycle_is_singular_without_a_solve():
+    # Mass moved around a cycle of busy groups and tasks keeps every row
+    # sum and load, so the equations leave it free: two busy groups on the
+    # same two tasks, and a busy group on two tasks pinned by idle-mode
+    # groups (the cycle runs through the pins).
+    gamma, s = np.array([4.0, 5.0, 6.0]), np.array([0.1, 0.2, 0.3])
+    c = np.array([[0.1, 0.2, 0.3], [0.3, 0.1, 0.2], [0.2, 0.3, 0.1]])
+    n0, ntask = np.array([1.0, 2.0, 3.0]), np.zeros(3)
+    shared = [[1, 1, 0], [1, 1, 0], [0, 0, 1]], [1, 1, 0]
+    pinned = [[1, 1, 0], [1, 0, 0], [0, 1, 0]], [1, 0, 0]
+    for sup, busy in (shared, pinned):
+        sup, busy = np.array(sup, dtype=bool), np.array(busy, dtype=bool)
+        with pytest.raises(SingularSystem):
+            solve_modes_dense(gamma, s, c, n0, ntask, sup, busy)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(allocation, "solve_linear", None)  # a call would raise TypeError
+            with pytest.raises(SingularSystem):
+                allocation._solve_modes(gamma, s, c, n0, ntask, sup, busy)
+
+
 @st.composite
 def kkt_cases(draw):
     """A small round's (g, M) task probabilities for the KKT tests: allocate's
@@ -760,8 +856,48 @@ def test_large_singleton_rounds_certify():
     # them (15 and 28) the first pattern the interior method polishes
     # fails the KKT test, so its iterations go on.
     rng = np.random.default_rng(1)
+    iterations = 0
     for _ in range(40):
-        assert allocate(singleton_round(rng, 64, int(rng.integers(4, 17)))).report.valid
+        result = allocate(singleton_round(rng, 64, int(rng.integers(4, 17))))
+        assert result.report.valid
+        assert result.path == "interior"
+        iterations += result.iterations
+    # 423 when each new pattern is polished once mu < 1e-6 per robot; 484
+    # when a pattern had to repeat and mu be below 1e-10 first
+    assert iterations <= 440
+
+
+def rounded_singleton_round(seed, g, m):
+    """g singleton groups with exact ties: integer gammas, signals and
+    costs rounded to 0.1."""
+    rng = np.random.default_rng(seed)
+    counts = np.zeros((g, m + 1), dtype=np.int64)
+    counts[:, 0] = 1
+    return ProblemInstance(np.round(rng.uniform(1.0, 20.0, m)),
+                           np.round(rng.uniform(0.0, 1.0, m), 1),
+                           np.round(rng.uniform(0.0, 1.0, (g, m)), 1), counts)
+
+
+def test_singular_early_polish_lets_the_iterations_go_on():
+    # At mu of about 2e-7 per robot this round's pattern closes a cycle of
+    # busy groups and tasks, so its polish is singular.  That only marks the
+    # pattern; the next new pattern certifies.
+    singular = []
+    solve = allocation._solve_modes
+
+    def recording(*args):
+        try:
+            return solve(*args)
+        except allocation.SingularSystem:
+            singular.append(args)
+            raise
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(allocation, "_solve_modes", recording)
+        result = allocate(rounded_singleton_round(3983624044, 14, 15))
+    assert len(singular) == 1
+    assert result.report.valid
+    assert result.path == "interior" and result.iterations <= 9
 
 
 def test_allocate_reports_its_path():
@@ -781,7 +917,7 @@ def test_allocate_reports_its_path():
     shapes = [(8, 4)] * 3 + [(8, 8)] * 3 + [(16, 8)] * 2 + [(32, 8), (32, 16), (64, 16)]
     rounds = [singleton_round(rng, g, m) for g, m in shapes]
     interior = allocate(rounds[-1])
-    assert interior.path == "interior" and interior.iterations > 0
+    assert (interior.path, interior.iterations) == ("interior", 10)
     assert interior.report.valid
     # the first 8 x 8 round needs 17 pivots; after the first, more actions
     # violate the KKT test than pivots are left, so the sweeps take it over
