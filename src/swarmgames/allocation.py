@@ -26,23 +26,25 @@ over x >= 0 with sum_k x_ik <= n_0^i: the optimality conditions of that
 problem are the equilibrium conditions.  `allocate` first tries a
 closed-form warm start.  When that fails the KKT test it searches for
 the equilibrium support, then finishes with one linear solve of the
-equilibrium equations on that support.  A busy group (one whose idle
+equilibrium equations on that support, or with a crossover where ties
+leave that solve singular.  A busy group (one whose idle
 action is out of the support) with a single supported task puts its
 whole mass there, so only the cells the equations couple are unknowns.
-There are three searches:
+There are two searches and one finish:
 
 - Principal pivoting on the (support, busy) pattern (Cottle, Pang &
   Stone 1992, ch. 4): solve the equations on it, flip its largest KKT
   violation and repeat, for at most _MAX_PIVOTS solves.
-- Gauss-Seidel best-response sweeps, where each group's step is an
-  exact water-filling solution.  The number of sweeps grows with the
-  number of groups g.
 - A primal-dual interior-point method (Mehrotra's predictor-corrector)
   on Phi.  It needs a number of iterations that barely depends on g,
   and each iteration costs one M x M solve plus vectorised (g, M+1)
   passes, because each group couples only its own cells and the tasks
   couple through M loads.  Once its iterates are close to the optimum,
   each new pattern they show is solved at once.
+- A crossover from the last interior iterate where no such solve
+  certifies, as at a tied optimum: a primal active-set method on Phi
+  that moves one constraint per step and, where Phi is flat along a
+  cycle of the support, steps along it until a cell empties.
 
 Most rounds a simulation meets are small (the monitoring scenario's
 4 groups x 5 tasks, the colony's 1 x 2), and most of those end at the
@@ -53,13 +55,11 @@ start, its KKT test and the row assembly in plain Python floats, with
 the same operations in the same order, so the strategies are
 bit-identical (only the KKT test's load sums may round differently, by
 an ulp).  Larger rounds run in array code throughout.  The constant
-sits below the measured whole-round crossover (at par near 96 cells,
+sits below the measured whole-round break-even (at par near 96 cells,
 the array code ahead from 128).  The same constant picks the search: a
 warm-start miss with at most `_SMALL_CELLS` merged cells runs the
-pivots, a larger one the interior method, and either hands the round
-to the sweeps if it certifies nothing.  Against the sweeps, the
-interior method is about level on 16 x 8 singleton misses (median time
-ratio 0.93 over 15 draws, 0.69 to 1.61) and ahead from 32 x 8 (0.43).
+pivots, and a larger one, or one the pivots give up on, the interior
+method.
 
 `verify_equilibrium` checks any candidate strategy against the
 definition: a vectorised re-computation of the loads and utilities,
@@ -97,10 +97,10 @@ EPS_EQ = 1e-8     # accepted expected-utility residual in the oracle
 EPS_SUM = 1e-9    # accepted row-normalization error
 
 _CERT_TOL = 0.1 * EPS_EQ  # KKT residual allocate accepts before the oracle sees it
-_MAX_SWEEPS = 10_000      # best-response sweeps before allocate gives up
 _SMALL_CELLS = 64         # g x M at or below which rounds run in plain floats and pivot
-_MAX_PIVOTS = 4           # pattern solves before the sweeps take over a small miss
-_MAX_INTERIOR = 50        # interior-point iterations before the sweeps take over
+_MAX_PIVOTS = 4           # pattern solves before the interior method takes over a small miss
+_MAX_INTERIOR = 50        # interior-point iterations before the crossover takes over
+_MAX_CROSSOVER = 200      # crossover steps before allocate gives up
 _MU_POLISH = 1e-6         # mean complementarity, per idle robot, below which each new pattern
                           # the interior iterates show is polished once
 _MU_TIE = 1e-10           # ... below which a pattern whose polish was singular ends the search
@@ -108,7 +108,7 @@ _MU_FLOOR = 1e-15         # ... at which the interior method stops
 
 
 class AllocationError(RuntimeError):
-    """The sweeps, after the pivot or interior search, hit their cap."""
+    """The crossover after the interior search hit its step cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +241,10 @@ class EquilibriumReport:
 class AllocationResult:
     """allocate's strategy, its oracle report (None without the check),
     and how the round was solved: `path` is "warm" (the closed-form warm
-    start), "pivot" (pattern pivots from the warm start), "interior" (the
-    interior-point support search) or "sweeps" (best-response sweeps),
-    and `iterations` counts pivots plus interior iterations plus sweeps.
+    start), "pivot" (pattern pivots from the warm start) or "interior"
+    (the interior-point support search, and the crossover where it ran),
+    and `iterations` counts pivots plus interior iterations plus
+    crossover steps.
     """
 
     strategy: MixedStrategy
@@ -422,29 +423,6 @@ def _solve_modes(gamma, s, c, n0, ntask, sup, busy):
     return probs
 
 
-def _water_fill(a, gamma, cap):
-    """Minimise sum_k (x_k - a_k)^2 / (2 gamma_k) over x >= 0, sum_k x_k <= cap.
-
-    The minimiser is x_k = max(0, a_k - gamma_k mu).  The level mu is 0
-    unless the cap binds; then the breakpoints a_k / gamma_k are taken
-    in descending order while each lies above the level the ones before
-    it set.  Plain floats: rows are short and this runs once per group
-    per sweep.  Returns (x, mu).
-    """
-    if sum(ak for ak in a if ak > 0.0) <= cap:
-        return [ak if ak > 0.0 else 0.0 for ak in a], 0.0
-    breakpoints = sorted(((ak / gk, ak, gk) for ak, gk in zip(a, gamma) if ak > 0.0),
-                         reverse=True)
-    mass, weight = -cap, 0.0
-    for t, ak, gk in breakpoints:
-        if weight > 0.0 and t <= mass / weight:
-            break
-        mass += ak
-        weight += gk
-    mu = mass / weight
-    return [max(ak - gk * mu, 0.0) for ak, gk in zip(a, gamma)], mu
-
-
 def _certified(w, gamma, n0, ntask, probs):
     """KKT test of merged-group task probabilities, tighter than the oracle.
 
@@ -476,47 +454,6 @@ def _certified_floats(free, c, n0, quote, probs):
     return True, util, mass
 
 
-def _project(probs, n0, rows):
-    """Nearest masses x >= 0 with sum_k x_ik <= n0_i to x = n0 * probs."""
-    ones = [1.0] * probs.shape[1]
-    x = np.zeros(probs.shape)
-    for i in rows:
-        x[i] = _water_fill((probs[i] * n0[i]).tolist(), ones, n0[i])[0]
-    return x
-
-
-def _potential(w, gamma, ntask, x):
-    load = ntask + x.sum(axis=0)
-    return 0.5 * float(load @ (load / gamma)) - float(np.sum(w * x))
-
-
-def _extrapolate(w, gamma, ntask, n0, start, x):
-    """Exact line search of Phi along one sweep's displacement, past its end.
-
-    Phi is quadratic on start + t (x - start).  Where a near-tie between
-    two groups makes each sweep shift the same small mass, its minimiser
-    lies far beyond t = 1; the step stops where a mass would turn
-    negative or a group would overfill.
-    """
-    d = x - start
-    shift = d.sum(axis=0)
-    curvature = float(shift @ (shift / gamma))
-    slope = float(np.sum(((ntask + start.sum(axis=0)) / gamma - w) * d))
-    if slope >= 0.0:
-        return x
-    t = -slope / curvature if curvature > 0.0 else np.inf
-    shrink = d < 0.0
-    if shrink.any():
-        t = min(t, float(np.min(start[shrink] / -d[shrink])))
-    growth = d.sum(axis=1)
-    grow = growth > EPS_ZERO * n0
-    if grow.any():
-        t = min(t, float(np.min((n0[grow] - start[grow].sum(axis=1)) / growth[grow])))
-    if t <= 1.0:
-        return x
-    return np.maximum(start + t * d, 0.0)
-
-
 def _warm_start(gamma, s, c, n0, ntask):
     """Every task to its cheapest group(s) with idle robots, everyone
     idling: the closed-form (g, M) task probabilities of that support."""
@@ -536,8 +473,8 @@ def _pivot(gamma, s, c, n0, ntask, warm):
     (its first supported task's utility if busy, else 0): a task leaves
     below the value or below probability 0 and joins above the value;
     idle leaves a row that overfills or earns above 0 and rejoins a busy
-    row valued below 0.  Returns (probs, pivots, certified); probs is `warm`
-    if a solve is singular or violations outnumber the pivots left.
+    row valued below 0.  Returns (probs, pivots); probs is None if a
+    solve is singular or violations outnumber the pivots left.
     """
     free, cost, cap = (1.0 - s).tolist(), c.tolist(), n0.tolist()
     support = np.array([[_row_sum(row) <= 1.0 + EPS_ZERO] + [p > 0.0 for p in row]
@@ -551,7 +488,7 @@ def _pivot(gamma, s, c, n0, ntask, warm):
         quote = ((ntask + n0 @ probs) / gamma).tolist()
         passed, util, mass = _certified_floats(free, cost, cap, quote, rows)
         if passed:
-            return probs, pivot, True
+            return probs, pivot
         worst, flip, violations = 0.0, None, 0
         for i in [i for i, n in enumerate(cap) if n > 0.0]:
             (idle, *on), ui = support[i].tolist(), util[i]
@@ -568,54 +505,7 @@ def _pivot(gamma, s, c, n0, ntask, warm):
         if flip is None or violations > _MAX_PIVOTS - pivot:
             break
         support[flip] ^= True
-    return warm, pivot, False
-
-
-def _equilibrium(gamma, s, c, n0, ntask, probs):
-    """Task probabilities (g, M) of the merged groups at a minimiser of Phi,
-    by best-response sweeps from the start `probs`; returns them with the
-    number of sweeps run.
-    """
-    w = 1.0 - s - c
-    busy = np.zeros(n0.shape[0], dtype=bool)
-    rows = np.flatnonzero(n0 > 0).tolist()
-    val, gam, cap = (gamma * w).tolist(), gamma.tolist(), n0.tolist()
-    x = _project(probs, n0, rows)
-    seen, polished = set(), set()
-    for sweep in range(1, _MAX_SWEEPS + 1):
-        start = x
-        xs = start.tolist()
-        load = (ntask + start.sum(axis=0)).tolist()
-        for i in rows:
-            xi = xs[i]
-            xs[i], mu = _water_fill([v - l + xk for v, l, xk in zip(val[i], load, xi)],
-                                    gam, cap[i])
-            load = [l + nk - xk for l, nk, xk in zip(load, xs[i], xi)]
-            busy[i] = mu > 0.0
-        x = np.array(xs)
-        sup = x > EPS_ZERO * n0[:, None]
-        pattern = sup.tobytes() + busy.tobytes()
-        # A pattern met before has settled, or cycles on rounding dust.
-        if pattern in seen:
-            if pattern not in polished:
-                polished.add(pattern)
-                try:
-                    probs = _solve_modes(gamma, s, c, n0, ntask, sup, busy)
-                except SingularSystem:
-                    probs = None  # ties leave the masses free; test the iterate
-                if probs is not None:
-                    if _certified(w, gamma, n0, ntask, probs):
-                        return probs, sweep
-                    projected = _project(probs, n0, rows)
-                    if _potential(w, gamma, ntask, projected) < _potential(w, gamma, ntask, x):
-                        x = projected
-                        continue
-            probs = x / np.where(n0 > 0, n0, 1.0)[:, None]
-            if _certified(w, gamma, n0, ntask, probs):
-                return probs, sweep
-        seen.add(pattern)
-        x = _extrapolate(w, gamma, ntask, n0, start, x)
-    raise AllocationError(f"best response did not converge in {_MAX_SWEEPS} sweeps")
+    return None, pivot
 
 
 def _step_to_boundary(v, dv):
@@ -640,10 +530,10 @@ def _interior(gamma, s, c, n0, ntask):
     appears.  A singular polish (its support closes a cycle: at a tied
     optimum, or on a pattern the iterates only pass through) marks the
     pattern and the iterations go on; a marked pattern met once mu is
-    below _MU_TIE ends the search.
-    Returns (probs, iterations, certified): the polished (g, M) task
-    probabilities if they pass the KKT test, else the last iterate's
-    for the sweeps to start from.
+    below _MU_TIE ends the search.  A round the polishes do not certify
+    (such a marked pattern, mu below _MU_FLOOR, or _MAX_INTERIOR
+    iterations) ends in _crossover from the last iterate.  Returns the (g, M) task probabilities and the number
+    of interior iterations plus crossover steps.
     """
     live = n0 > 0
     w_all = 1.0 - s - c
@@ -677,9 +567,9 @@ def _interior(gamma, s, c, n0, ntask):
                     singular.add(pattern)
                 else:
                     if _certified(w_all, gamma, n0, ntask, probs):
-                        return probs, it, True
+                        return probs, it
             if pattern in singular and mu < mu_tie:
-                break  # ties leave the masses free; the sweeps test their iterate
+                break  # ties leave the masses free
         if mu < mu_floor:
             break
         # minus the dual and primal residuals: zero up to rounding, as the
@@ -711,9 +601,98 @@ def _interior(gamma, s, c, n0, ntask):
         dx, dy, dz = newton(xz + dx * dz - (mu_aff / mu) ** 3 * mu)
         ap, ad = 0.99 * _step_to_boundary(x, dx), 0.99 * _step_to_boundary(z, dz)
         x, y, z = x + ap * dx, y + ad * dy, z + ad * dz
-    probs = np.zeros(c.shape)
-    probs[live] = x[:, 1:] / cap[:, None]
-    return probs, it, False
+    probs, steps = _crossover(gamma, s, c, n0, ntask, x, z)
+    return probs, it + steps
+
+
+def _crossover(gamma, s, c, n0, ntask, x, z):
+    """Primal active-set method on min Phi from an interior iterate
+    (Megiddo 1991; Nocedal & Wright, Numerical Optimization, 2nd ed.,
+    16.5).
+
+    The unknowns are the probabilities p = x / n0 of the free cells,
+    first the support x > z; the busy rows, first those whose idle slack
+    is below its dual, sum to 1, and a busy row with one free cell holds
+    it at 1.  Each step solves the KKT system of Phi on the other free
+    cells, [[H, R^T], [R, 0]] [d; lam] = [n0 u; 0], where H couples two
+    cells on task k by n0_i n0_j / gamma_k and R sums the busy rows, by
+    the pseudo-inverse from one eigendecomposition.  Phi is only
+    semidefinite: where ties make it flat along a cycle of the support
+    the system is inconsistent, and its residual is a descent direction
+    of zero curvature.  The step runs along the Newton step d up to
+    length 1, or along the residual without a cap, until a cell
+    empties (it leaves the support) or an idle row fills (it turns
+    busy).  At the minimiser on the free cells the round ends if the KKT
+    test passes; else the largest violation is released: a cell outside
+    the support that earns more than its row's value (its free cells'
+    utility if busy, else 0), or a busy row valued below 0.  Returns the
+    (g, M) task probabilities and the number of steps.
+    """
+    g = c.shape[0]
+    live = n0 > 0
+    w = 1.0 - s - c
+    sup = np.zeros(c.shape, dtype=bool)
+    busy = np.zeros(g, dtype=bool)
+    sup[live] = x[:, 1:] > z[:, 1:]
+    busy[live] = x[:, 0] < z[:, 0]
+    busy &= sup.any(axis=1)  # a busy row keeps a free cell: R d = 0 never empties its last
+    p = np.zeros(c.shape)
+    p[live] = x[:, 1:] / n0[live, None]
+    p[~sup] = 0.0
+    for step in range(1, _MAX_CROSSOVER + 1):
+        p[busy] /= p[busy].sum(axis=1, keepdims=True)  # keeps long flat steps feasible
+        # a busy row on one cell holds it at 1: a constant load, as in _solve_modes
+        rows, tasks = sup.nonzero()
+        lone = busy & (np.bincount(rows, minlength=g) == 1)
+        rows, tasks = rows[~lone[rows]], tasks[~lone[rows]]
+        on = np.flatnonzero(busy & ~lone)
+        f, scaled = rows.size, n0[rows]
+        kkt = np.zeros((f + on.size, f + on.size))
+        kkt[:f, :f] = np.where(tasks[:, None] == tasks, np.outer(scaled, scaled / gamma[tasks]), 0.0)
+        kkt[f:, :f] = rows == on[:, None]
+        kkt[:f, f:] = kkt[f:, :f].T
+        util = w - (ntask + n0 @ p) / gamma
+        rhs = np.zeros(f + on.size)
+        rhs[:f] = scaled * util[rows, tasks]
+        # not lstsq: its SVD driver can fail to converge on these systems
+        vals, vecs = np.linalg.eigh(kkt)
+        keep = np.abs(vals) > vals.size * np.finfo(float).eps * np.abs(vals).max(initial=0.0)
+        coef = rhs @ vecs
+        resid = vecs[:f, ~keep] @ coef[~keep]
+        flat = bool(np.any(np.abs(resid) > EPS_ZERO * scaled))
+        if flat:
+            d, reach = resid, np.inf  # Phi falls linearly until a bound blocks
+        else:
+            d, reach = vecs[:f, keep] @ (coef[keep] / vals[keep]), 1.0
+        # ratio test: the step's own end, then each emptying cell, then each filling idle row
+        old, growth = p[rows, tasks], np.bincount(rows, d, g)
+        limits = np.concatenate([
+            [reach],
+            np.divide(old, -d, out=np.full(f, np.inf), where=d < 0.0),
+            np.divide(np.maximum(1.0 - p.sum(axis=1), 0.0), growth, out=np.full(g, np.inf),
+                      where=~busy & (growth > 0.0)),
+        ])
+        j = int(limits.argmin())
+        p[rows, tasks] = np.maximum(old + limits[j] * d, 0.0)
+        if 0 < j <= f:
+            sup[rows[j - 1], tasks[j - 1]] = False
+            p[rows[j - 1], tasks[j - 1]] = 0.0
+        elif j > f:
+            busy[j - f - 1] = True
+        elif not flat:
+            if _certified(w, gamma, n0, ntask, p):
+                return p, step
+            util = w - (ntask + n0 @ p) / gamma
+            value = np.where(busy, np.where(sup, util, -np.inf).max(axis=1), 0.0)
+            gain = np.where(np.column_stack([busy, ~sup]) & live[:, None],
+                            np.column_stack([-value, util - value[:, None]]), -np.inf)
+            i, k = np.unravel_index(int(gain.argmax()), gain.shape)
+            if gain[i, k] > 0.0:
+                if k:
+                    sup[i, k - 1] = True
+                else:
+                    busy[i] = False
+    raise AllocationError(f"crossover did not finish in {_MAX_CROSSOVER} steps")
 
 
 def _row_sum(xs):
@@ -741,16 +720,13 @@ def _row_sum(xs):
 
 def _search(gamma, s, c, n0, ntask, warm):
     """Steps 2 and 3 of allocate on the merged groups: (probs, path, iterations)."""
-    if c.size > _SMALL_CELLS:
-        probs, iterations, certified = _interior(gamma, s, c, n0, ntask)
-        path = "interior"
-    else:
-        probs, iterations, certified = _pivot(gamma, s, c, n0, ntask, warm)
-        path = "pivot"
-    if not certified:
-        probs, sweeps = _equilibrium(gamma, s, c, n0, ntask, probs)
-        path, iterations = "sweeps", iterations + sweeps
-    return probs, path, iterations
+    pivots = 0
+    if c.size <= _SMALL_CELLS:
+        probs, pivots = _pivot(gamma, s, c, n0, ntask, warm)
+        if probs is not None:
+            return probs, "pivot", pivots
+    probs, iterations = _interior(gamma, s, c, n0, ntask)
+    return probs, "interior", pivots + iterations
 
 
 def _allocate_small(instance: ProblemInstance) -> tuple[list[list[float]], str, int]:
@@ -826,25 +802,20 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
        pivot solves the equilibrium equations on a (support, busy)
        pattern, from the warm start's, and flips the pattern's largest
        KKT violation until a solution passes the test (path "pivot").
-       With more, an interior-point method runs on Phi; once its mean
-       complementarity is below _MU_POLISH per idle robot, each new
-       pattern its iterates show is solved once, and the first solution
-       that passes the test ends the round (path "interior").  In every
-       solve a busy group on one task is a constant load, and only the
-       coupled cells are unknowns.
-    3. Otherwise, from the warm start or the last interior iterate cut
-       down to the feasible set, Gauss-Seidel sweeps replace each
-       group's masses with its exact best response to the others, and
-       an exact line search along each sweep's displacement extends the
-       step (path "sweeps").  Once a pattern recurs, the equations on it
-       are solved once.  A solution that fails the KKT test is projected
-       onto the feasible set and kept if that lowers Phi.  Where ties
-       make the equations singular, the sweep iterate is returned as
-       soon as it passes the test itself.  The pivots hand over to the
-       sweeps when a solve is singular or more KKT violations remain
-       than pivots of _MAX_PIVOTS, the interior method when a pattern
-       whose solve was singular recurs below _MU_TIE or it reaches
-       _MAX_INTERIOR iterations uncertified.
+       The pivots give up when a solve is singular or more KKT
+       violations remain than pivots of _MAX_PIVOTS.  In every solve a
+       busy group on one task is a constant load, and only the coupled
+       cells are unknowns.
+    3. With more cells, or once the pivots give up, an interior-point
+       method runs on Phi; once its mean complementarity is below
+       _MU_POLISH per idle robot, each new pattern its iterates show is
+       solved once, and the first solution that passes the test ends
+       the round (path "interior").  Where
+       none does (a pattern whose solve was singular recurs below
+       _MU_TIE, complementarity reaches _MU_FLOOR, or _MAX_INTERIOR
+       iterations run out), a crossover from the last iterate finishes
+       the round: an active-set method that moves one constraint per
+       step until its point passes the test.
 
     Rounds of at most _SMALL_CELLS cells run the merge, step 1, its KKT
     test and the row assembly in plain floats, bit-identical to the
@@ -853,8 +824,9 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
     Groups without idle robots get degenerate idle rows.  With `check`
     the returned strategy is certified by the independent oracle.  The
     result's `path` says which step ended the round and `iterations`
-    counts its pivots plus interior iterations plus sweeps.  Raises
-    AllocationError only if the sweeps reach their cap.
+    counts its pivots plus interior iterations plus crossover steps.
+    Raises AllocationError only if the crossover reaches
+    _MAX_CROSSOVER steps.
     """
     if instance.costs.size <= _SMALL_CELLS:
         rows, path, iterations = _allocate_small(instance)

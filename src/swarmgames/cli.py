@@ -86,10 +86,24 @@ def load_instance(path: str) -> ProblemInstance:
     extra = sorted(set(raw) - {"gamma", "signals", "costs", "counts"})
     if extra:
         raise ScenarioError(f"{path}: unknown key(s) {', '.join(extra)}")
+    for key in ("gamma", "signals", "costs", "counts"):
+        # YAML 1.1 reads 1e3 as text and yes/true as bools; numpy would take both
+        for entry in _entries(raw[key]):
+            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+                raise ScenarioError(f"{path}: {key}: expected a number, got {entry!r}")
     try:
         return ProblemInstance(raw["gamma"], raw["signals"], raw["costs"], raw["counts"])
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from None
+
+
+def _entries(value):
+    """The scalars of nested lists, in order."""
+    if isinstance(value, list):
+        for item in value:
+            yield from _entries(item)
+    else:
+        yield value
 
 
 def write_strategy_csv(strategy, path: str) -> None:

@@ -3,9 +3,9 @@
 The allocation solver polishes a support pattern with one square system,
 one unknown per supported cell, well scaled (coefficients are head
 counts, reciprocal gammas and ones).  Where ties leave the masses free
-the system is singular, and the caller must hear so to fall back to its
-best-response iterate.  One LAPACK inverse gives the solution and a
-condition number, max|A| max|A^-1|, that separates the two kinds: on
+the system is singular, and the caller must hear so to search on.  One
+LAPACK inverse gives the solution and a condition number,
+max|A| max|A^-1|, that separates the two kinds: on
 the 8040 support systems of 680 monitoring warm-start misses and 12 600
 random rounds of up to 64 x 16 (many rounded to force ties), well-posed
 ones measured at most 140 and singular ones at least 9.0e15, 117 of

@@ -660,23 +660,134 @@ def small_rounds(draw):
 @example(_pooled_draw(random.Random("1088/4/5"), 4, 5))
 def test_float_round_matches_array_round(inst):
     # Singleton draws often miss the warm start, so the hand-off from the
-    # float warm start to the pivots and the sweeps is covered along with
-    # the hits.  A spurious miss would still reach the same equilibrium, so
-    # the paths must also agree on whether the sweeps ran (they start with
-    # _project).
-    sweeps = []
-    project = allocation._project
+    # float warm start to the pivots and the interior method is covered
+    # along with the hits.  A spurious miss would still reach the same
+    # equilibrium, so the paths must also agree on whether the interior
+    # method ran.
+    calls = []
+    interior = allocation._interior
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(allocation, "_project", lambda *a: sweeps.append(1) or project(*a))
+        mp.setattr(allocation, "_interior", lambda *a: calls.append(1) or interior(*a))
         rows, path, iterations = allocation._allocate_small(inst)
-        float_sweeps = len(sweeps)
+        float_calls = len(calls)
         arrays, array_path, array_iterations = allocation._allocate_arrays(inst)
     floats = np.array(rows)
     assert floats.tobytes() == arrays.tobytes()
     assert (verify_equilibrium(inst, MixedStrategy(floats))
             == verify_equilibrium(inst, MixedStrategy(arrays)))
-    assert float_sweeps == len(sweeps) - float_sweeps
+    assert float_calls == len(calls) - float_calls
     assert (path, iterations) == (array_path, array_iterations)
+
+
+# Reference: Gauss-Seidel best-response sweeps on the potential, each
+# group's step an exact water-filling solution.  An algorithm independent
+# of allocate's searches (only the final polish is shared), so the loads
+# they reach check allocate's.
+
+
+def water_fill(a, gamma, cap):
+    """Minimise sum_k (x_k - a_k)^2 / (2 gamma_k) over x >= 0, sum_k x_k <= cap.
+
+    The minimiser is x_k = max(0, a_k - gamma_k mu).  The level mu is 0
+    unless the cap binds; then the breakpoints a_k / gamma_k are taken
+    in descending order while each lies above the level the ones before
+    it set.  Returns (x, mu).
+    """
+    if sum(ak for ak in a if ak > 0.0) <= cap:
+        return [ak if ak > 0.0 else 0.0 for ak in a], 0.0
+    breakpoints = sorted(((ak / gk, ak, gk) for ak, gk in zip(a, gamma) if ak > 0.0),
+                         reverse=True)
+    mass, weight = -cap, 0.0
+    for t, ak, gk in breakpoints:
+        if weight > 0.0 and t <= mass / weight:
+            break
+        mass += ak
+        weight += gk
+    mu = mass / weight
+    return [max(ak - gk * mu, 0.0) for ak, gk in zip(a, gamma)], mu
+
+
+def project(probs, n0, rows):
+    """Nearest masses x >= 0 with sum_k x_ik <= n0_i to x = n0 * probs."""
+    ones = [1.0] * probs.shape[1]
+    x = np.zeros(probs.shape)
+    for i in rows:
+        x[i] = water_fill((probs[i] * n0[i]).tolist(), ones, n0[i])[0]
+    return x
+
+
+def potential(w, gamma, ntask, x):
+    load = ntask + x.sum(axis=0)
+    return 0.5 * float(load @ (load / gamma)) - float(np.sum(w * x))
+
+
+def extrapolate(w, gamma, ntask, n0, start, x):
+    """Exact line search of Phi along one sweep's displacement, past its
+    end, until a mass would turn negative or a group would overfill."""
+    d = x - start
+    shift = d.sum(axis=0)
+    curvature = float(shift @ (shift / gamma))
+    slope = float(np.sum(((ntask + start.sum(axis=0)) / gamma - w) * d))
+    if slope >= 0.0:
+        return x
+    t = -slope / curvature if curvature > 0.0 else np.inf
+    shrink = d < 0.0
+    if shrink.any():
+        t = min(t, float(np.min(start[shrink] / -d[shrink])))
+    growth = d.sum(axis=1)
+    grow = growth > EPS_ZERO * n0
+    if grow.any():
+        t = min(t, float(np.min((n0[grow] - start[grow].sum(axis=1)) / growth[grow])))
+    if t <= 1.0:
+        return x
+    return np.maximum(start + t * d, 0.0)
+
+
+def best_response_sweeps(gamma, s, c, n0, ntask, probs, max_sweeps=10_000):
+    """(g, M) task probabilities of the merged groups at a minimiser of
+    Phi, by best-response sweeps from `probs`.  Once a (support, busy)
+    pattern recurs it is polished with allocation._solve_modes; where
+    ties make that singular, the sweep iterate is returned as soon as it
+    passes the KKT test."""
+    w = 1.0 - s - c
+    busy = np.zeros(n0.shape[0], dtype=bool)
+    rows = np.flatnonzero(n0 > 0).tolist()
+    val, gam, cap = (gamma * w).tolist(), gamma.tolist(), n0.tolist()
+    x = project(probs, n0, rows)
+    seen, polished = set(), set()
+    for _ in range(max_sweeps):
+        start = x
+        xs = start.tolist()
+        load = (ntask + start.sum(axis=0)).tolist()
+        for i in rows:
+            xi = xs[i]
+            xs[i], mu = water_fill([v - l + xk for v, l, xk in zip(val[i], load, xi)],
+                                   gam, cap[i])
+            load = [l + nk - xk for l, nk, xk in zip(load, xs[i], xi)]
+            busy[i] = mu > 0.0
+        x = np.array(xs)
+        sup = x > EPS_ZERO * n0[:, None]
+        pattern = sup.tobytes() + busy.tobytes()
+        if pattern in seen:
+            if pattern not in polished:
+                polished.add(pattern)
+                try:
+                    probs = allocation._solve_modes(gamma, s, c, n0, ntask, sup, busy)
+                except SingularSystem:
+                    probs = None
+                if probs is not None:
+                    if allocation._certified(w, gamma, n0, ntask, probs):
+                        return probs
+                    projected = project(probs, n0, rows)
+                    if potential(w, gamma, ntask, projected) < potential(w, gamma, ntask, x):
+                        x = projected
+                        continue
+            probs = x / np.where(n0 > 0, n0, 1.0)[:, None]
+            if allocation._certified(w, gamma, n0, ntask, probs):
+                return probs
+        seen.add(pattern)
+        x = extrapolate(w, gamma, ntask, n0, start, x)
+    raise AssertionError(f"the reference sweeps did not converge in {max_sweeps}")
 
 
 def sweep_loads(inst):
@@ -686,8 +797,7 @@ def sweep_loads(inst):
     n0 = merged_counts[:, 0].astype(float)
     ntask = inst.task_totals.astype(float)
     warm = allocation._warm_start(inst.gamma, inst.signals, c, n0, ntask)
-    probs, _ = allocation._equilibrium(inst.gamma, inst.signals, c, n0, ntask, warm)
-    return ntask + n0 @ probs
+    return ntask + n0 @ best_response_sweeps(inst.gamma, inst.signals, c, n0, ntask, warm)
 
 
 @settings(max_examples=100, deadline=None)
@@ -696,7 +806,7 @@ def test_interior_rounds_match_the_sweeps(inst):
     result = allocate(inst)
     assert result.report.valid, result.report
     loads = inst.task_totals + inst.idle_counts @ result.strategy.probs[:, 1:]
-    # Where ties make the polish singular, either side may return an iterate
+    # Where ties leave the masses free, either side may return a point
     # whose utilities are only within _CERT_TOL of their best, so the
     # prices L_k / gamma_k may differ by up to twice that.
     assert np.all(np.abs(loads - sweep_loads(inst)) <= 2 * allocation._CERT_TOL * inst.gamma)
@@ -900,6 +1010,111 @@ def test_singular_early_polish_lets_the_iterations_go_on():
     assert result.path == "interior" and result.iterations <= 9
 
 
+def rounded_tie_rounds(draws):
+    """The rounded-tie set: exact cost and task ties on rounds of more
+    than _SMALL_CELLS merged cells.
+
+    From default_rng(11), per draw: a family (singleton, pooled or random
+    counts, as in `instances`), M = integers(2, 17), g =
+    integers(ceil(65 / M), 65) and a child generator, from which gamma ~
+    U(1, 20) rounded to integers, signals ~ U(0, 1) and costs ~ U(0, 1)
+    of shape (g, M) rounded to 0.1, then the counts.  Yields each draw's
+    instance, or None where at most _SMALL_CELLS merged cells are left.
+    """
+    rng = np.random.default_rng(11)
+    for _ in range(draws):
+        family = int(rng.integers(0, 3))
+        m = int(rng.integers(2, 17))
+        g = int(rng.integers(-(-65 // m), 65))
+        child = np.random.default_rng(int(rng.integers(0, 2**32 - 1)))
+        gamma = np.round(child.uniform(1.0, 20.0, m))
+        signals = np.round(child.uniform(0.0, 1.0, m), 1)
+        costs = np.round(child.uniform(0.0, 1.0, (g, m)), 1)
+        counts = np.zeros((g, m + 1), dtype=np.int64)
+        if family == 0:
+            counts[:, 0] = 1
+        elif family == 1:
+            counts[:, 0] = child.integers(2, 7, g)
+            counts[:, 1:] = child.integers(0, 4, (g, m))
+        else:
+            counts[:] = child.integers(0, 11, (g, m + 1))
+        inst = ProblemInstance(gamma, signals, costs, counts)
+        merged = allocation._merge_groups(costs, counts)[2]
+        yield inst if merged.size > allocation._SMALL_CELLS else None
+
+
+def recording_crossover(mp):
+    """Patch allocation._crossover to record its step counts; returns the list."""
+    steps = []
+    crossover = allocation._crossover
+
+    def recording(*args):
+        probs, taken = crossover(*args)
+        steps.append(taken)
+        return probs, taken
+
+    mp.setattr(allocation, "_crossover", recording)
+    return steps
+
+
+def test_rounded_tie_rounds_certify():
+    # Ties leave the masses free, so the polish is singular on many of
+    # these rounds and the crossover finishes them.  Draw 290 is one.
+    with pytest.MonkeyPatch.context() as mp:
+        steps = recording_crossover(mp)
+        for n, inst in enumerate(rounded_tie_rounds(300)):
+            if inst is None:
+                continue
+            steps.clear()
+            result = allocate(inst)  # raises AllocationError at the step cap
+            assert result.report.valid, n
+            if n == 290:
+                assert steps == [15]
+
+
+@pytest.mark.parametrize("index", [207, 511])
+def test_tied_gate_rounds_end_in_the_crossover(index):
+    # Draws of the g = 64 gate set (default_rng(7); per draw M =
+    # integers(4, 17), then a singleton round) whose interior iterates
+    # reach a singular pattern: the crossover takes a zero-curvature step
+    # around its cycle and certifies.
+    rng = np.random.default_rng(7)
+    for _ in range(index + 1):
+        inst = singleton_round(rng, 64, int(rng.integers(4, 17)))
+    with pytest.MonkeyPatch.context() as mp:
+        steps = recording_crossover(mp)
+        result = allocate(inst)
+    assert result.report.valid
+    assert len(steps) == 1
+    assert result.path == "interior" and result.iterations <= 16
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_rounds(), st.booleans())
+@example(MONITORING_CYCLE, False)
+@example(MONITORING_CYCLE, True)
+def test_crossover_finishes_from_a_far_start(inst, busy):
+    # The interior iterates start the crossover on a support that holds
+    # the equilibrium's, so allocate seldom needs its releases.  From
+    # everyone idling, every supported cell must be released in turn; from
+    # every group busy on all tasks, every idling group must be.
+    _, merged_counts, c = allocation._merge_groups(inst.costs, inst.counts)
+    n0 = merged_counts[:, 0].astype(float)
+    ntask = inst.task_totals.astype(float)
+    x = np.zeros((int(np.count_nonzero(n0)), inst.n_tasks + 1))
+    z = np.zeros_like(x)
+    if busy:
+        x[:, 1:] = (n0[n0 > 0] / inst.n_tasks)[:, None]
+        z[:, 0] = 1.0
+    else:
+        x[:, 0] = n0[n0 > 0]
+        z[:, 1:] = 1.0
+    probs, _ = allocation._crossover(inst.gamma, inst.signals, c, n0, ntask, x, z)
+    assert allocation._certified(1.0 - inst.signals - c, inst.gamma, n0, ntask, probs)
+    loads = ntask + n0 @ probs
+    assert np.all(np.abs(loads - sweep_loads(inst)) <= 2 * allocation._CERT_TOL * inst.gamma)
+
+
 def test_allocate_reports_its_path():
     # a pooled round ends at the warm start: gamma_k = |n_k| + x_k with
     # x_k < min(n0) / M keeps idling in every group's support
@@ -920,9 +1135,10 @@ def test_allocate_reports_its_path():
     assert (interior.path, interior.iterations) == ("interior", 10)
     assert interior.report.valid
     # the first 8 x 8 round needs 17 pivots; after the first, more actions
-    # violate the KKT test than pivots are left, so the sweeps take it over
+    # violate the KKT test than pivots are left, so the interior method
+    # takes it over
     fallback = allocate(rounds[3])
-    assert (fallback.path, fallback.iterations) == ("sweeps", 1 + 3)
+    assert (fallback.path, fallback.iterations) == ("interior", 1 + 6)
     assert fallback.report.valid
     # a monitoring miss: the warm start overfills groups 0 and 3, which
     # start busy, and the second solve certifies once group 1 joins the third task

@@ -88,6 +88,28 @@ def test_allocate_rejects_nan_signal(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, text", [
+    ("gamma", "gamma: [4.0, 1e3]\nsignals: [0.5, 0.5]\ncosts: [[0.1, 0.1]]\ncounts: [[1, 0, 0]]\n"),
+    ("signals", "gamma: [4.0, 2.0]\nsignals: [true, 0.5]\ncosts: [[0.1, 0.1]]\n"
+                "counts: [[1, 0, 0]]\n"),
+    ("costs", "gamma: [4.0, 2.0]\nsignals: [0.5, 0.5]\ncosts: [[0.1, false]]\n"
+              "counts: [[1, 0, 0]]\n"),
+    ("counts", "gamma: [4.0, 2.0]\nsignals: [0.5, 0.5]\ncosts: [[0.1, 0.1]]\n"
+               "counts: [[yes, 0, 0]]\n"),
+    ("gamma", "gamma: [4.0, null]\nsignals: [0.5, 0.5]\ncosts: [[0.1, 0.1]]\n"
+              "counts: [[1, 0, 0]]\n"),
+])
+def test_allocate_rejects_yaml_text_and_bools_as_numbers(tmp_path, capsys, key, text):
+    # YAML 1.1 reads 1e3 as the string "1e3" and yes/true/false as bools;
+    # numpy would convert both to numbers and solve another instance
+    inst = tmp_path / "inst.yaml"
+    inst.write_text(text)
+    out = tmp_path / "s.csv"
+    assert main(["allocate", str(inst), "--out", str(out)]) == 1
+    assert f"{key}: expected a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_allocate_missing_file_exits_1(tmp_path):
     assert main(["allocate", str(tmp_path / "nope.yaml"),
                  "--out", str(tmp_path / "s.csv")]) == 1
@@ -149,12 +171,12 @@ def test_sim_total_deadlock_exits_4(tmp_path, capsys):
 def test_failed_equilibrium_search_exits_2(tmp_path, capsys, monkeypatch, command):
     # 1 means malformed input; a solver failure mid-run is not that
     def fail(instance, **kwargs):
-        raise AllocationError("best response did not converge")
+        raise AllocationError("crossover did not finish in 200 steps")
 
     monkeypatch.setattr(engine, "allocate", fail)
     monkeypatch.chdir(tmp_path)
     assert main(command[:1] + ["--scenario", "monitoring", "--t-final", "5"] + command[1:]) == 2
-    assert "equilibrium search failed: best response did not converge" in capsys.readouterr().err
+    assert "equilibrium search failed: crossover did not finish in 200 steps" in capsys.readouterr().err
 
 
 def test_sim_unknown_scenario_exits_1(tmp_path, capsys):
@@ -375,7 +397,7 @@ def test_montecarlo_records_failed_allocation(tmp_path, capsys, monkeypatch):
         if len(runs) == 2:
             runs[-1] += 1
             if runs[-1] > 10:
-                raise AllocationError("best response did not converge")
+                raise AllocationError("crossover did not finish in 200 steps")
         return allocate(instance, **kwargs)
 
     monkeypatch.setattr(engine, "build_world", counting_build_world)
@@ -384,7 +406,7 @@ def test_montecarlo_records_failed_allocation(tmp_path, capsys, monkeypatch):
     assert main(["montecarlo", "--scenario", "monitoring", "--t-final", "5", "--runs", "3",
                  "--seed", "0", "--jobs", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "equilibrium search failed: best response did not converge (seed 1)" in err
+    assert "equilibrium search failed: crossover did not finish in 200 steps (seed 1)" in err
     assert "FAILURE: AllocationError in 1 of 3 runs" in err
     assert sorted(p.name for p in out.iterdir()) == [
         "run_0.csv", "run_1.csv", "run_2.csv", "runs.csv", "summary.csv", "summary.txt"]
