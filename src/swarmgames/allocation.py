@@ -50,11 +50,12 @@ Most rounds a simulation meets are small (the monitoring scenario's
 4 groups x 5 tasks, the colony's 1 x 2), and most of those end at the
 closed-form warm start: one diagonal solve.  On arrays of a few dozen
 cells numpy's fixed cost per call outweighs the arithmetic, so rounds of
-at most `_SMALL_CELLS` cells (g x M) run the group merge, the warm
-start, its KKT test and the row assembly in plain Python floats, with
-the same operations in the same order, so the strategies are
-bit-identical (only the KKT test's load sums may round differently, by
-an ulp).  Larger rounds run in array code throughout.  The constant
+at most `_SMALL_CELLS` cells (g x M) run the warm start, its KKT test
+and the row assembly in plain Python floats, with the same operations
+in the same order, so the strategies are bit-identical (only the KKT
+test's load sums may round differently, by an ulp).  Larger rounds run
+those steps in array code.  Both kinds share one group merge, a dict
+keyed on each cost row's bytes, and the searches.  The constant
 sits below the measured whole-round break-even (at par near 96 cells,
 the array code ahead from 128).  The same constant picks the search: a
 warm-start miss with at most `_SMALL_CELLS` merged cells runs the
@@ -297,19 +298,21 @@ def _snap(p: np.ndarray) -> np.ndarray:
     return np.where(np.abs(p - 1.0) < EPS_ZERO, 1.0, p)
 
 
-def _merge_groups(costs: np.ndarray, counts: np.ndarray):
+def _merge_groups(costs: np.ndarray) -> tuple[list[int], list[int]]:
     """Pool groups with bit-identical cost vectors (they are one group).
 
-    Returns each group's merged index, the merged counts and the merged
-    groups' cost rows, merged groups in order of first appearance.
+    Returns each group's merged index and each merged group's first
+    member, merged groups in order of first appearance.  Rows are keyed
+    by their bytes, so 0.0 and -0.0 costs stay apart.
     """
-    keys = np.ascontiguousarray(costs).view(np.dtype((np.void, costs.itemsize * costs.shape[1])))
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    merged_idx = np.argsort(order)[inverse]
-    merged = np.zeros((order.size, counts.shape[1]), dtype=counts.dtype)
-    np.add.at(merged, merged_idx, counts)
-    return merged_idx, merged, costs[first[order]]
+    raw, width = costs.tobytes(), costs.itemsize * costs.shape[1]
+    index_of, merged_idx, first = {}, [], []
+    for i in range(costs.shape[0]):
+        j = index_of.setdefault(raw[i * width:(i + 1) * width], len(first))
+        if j == len(first):
+            first.append(i)
+        merged_idx.append(j)
+    return merged_idx, first
 
 
 def _solve_modes(gamma, s, c, n0, ntask, sup, busy):
@@ -733,25 +736,21 @@ def _allocate_small(instance: ProblemInstance) -> tuple[list[list[float]], str, 
     """allocate's round in plain floats; returns the (g, M+1) rows, the
     path and the iteration count.
 
-    The same float operations in the same order as the array code:
-    _merge_groups, _warm_start, the KKT test of _certified (as
-    _certified_floats) and the row assembly of _allocate_arrays.  A warm
-    start that fails the test goes to _search, as in the array code.
+    After the shared _merge_groups, the same float operations in the
+    same order as the array code: _warm_start, the KKT test of
+    _certified (as _certified_floats) and the row assembly of
+    _allocate_arrays.  A warm start that fails the test goes to
+    _search, as in the array code.
     """
     gamma, s = instance.gamma.tolist(), instance.signals.tolist()
     counts = instance.counts.tolist()
-    costs = instance.costs
-    g, m = costs.shape
-    raw, width = costs.tobytes(), costs.itemsize * m
-    cost_rows = costs.tolist()
-    index_of, merged_idx, c, n0 = {}, [], [], []
-    for i in range(g):
-        j = index_of.setdefault(raw[i * width:(i + 1) * width], len(c))
-        if j == len(c):
-            c.append(cost_rows[i])
-            n0.append(0)
+    g, m = instance.costs.shape
+    merged_idx, first = _merge_groups(instance.costs)
+    cost_rows = instance.costs.tolist()
+    c = [cost_rows[i] for i in first]
+    n0 = [0] * len(first)
+    for i, j in enumerate(merged_idx):
         n0[j] += counts[i][0]
-        merged_idx.append(j)
     n0 = [float(n) for n in n0]
     ntask = [float(sum(col)) for col in list(zip(*counts))[1:]]
 
@@ -817,9 +816,9 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
        the round: an active-set method that moves one constraint per
        step until its point passes the test.
 
-    Rounds of at most _SMALL_CELLS cells run the merge, step 1, its KKT
-    test and the row assembly in plain floats, bit-identical to the
-    array code; steps 2 and 3 are shared.
+    Rounds of at most _SMALL_CELLS cells run step 1, its KKT test and
+    the row assembly in plain floats, bit-identical to the array code;
+    the merge and steps 2 and 3 are shared.
 
     Groups without idle robots get degenerate idle rows.  With `check`
     the returned strategy is certified by the independent oracle.  The
@@ -843,8 +842,9 @@ def _allocate_arrays(instance: ProblemInstance) -> tuple[np.ndarray, str, int]:
     path and the iteration count."""
     m, g = instance.n_tasks, instance.n_groups
     gamma, s = instance.gamma, instance.signals
-    merged_idx, merged_counts, c = _merge_groups(instance.costs, instance.counts)
-    n0 = merged_counts[:, 0].astype(float)
+    merged_idx, first = _merge_groups(instance.costs)
+    c = instance.costs[first]
+    n0 = np.bincount(merged_idx, instance.idle_counts)
     ntask = instance.task_totals.astype(float)
     probs_m = _warm_start(gamma, s, c, n0, ntask)
     path, iterations = "warm", 0
@@ -854,7 +854,7 @@ def _allocate_arrays(instance: ProblemInstance) -> tuple[np.ndarray, str, int]:
     probs = np.zeros((g, m + 1))
     probs[:, 0] = 1.0
     deciding = instance.idle_counts > 0
-    rows = _snap(probs_m[merged_idx[deciding]])
+    rows = _snap(probs_m[np.array(merged_idx)[deciding]])
     p0 = 1.0 - rows.sum(axis=1)
     probs[deciding, 0] = np.where(np.abs(p0) < EPS_ZERO, 0.0, p0)
     probs[deciding, 1:] = rows

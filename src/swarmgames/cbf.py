@@ -18,7 +18,8 @@ which keeps ||v|| <= v_max exact at the price of at most cos(pi/16)
 conservatism when affine rows are active.
 
 Everything here is plain scalar arithmetic on purpose: the filter runs
-once per robot per timestep and sits on the simulation's hot path.
+once per robot per timestep and sits on the simulation's hot path, so
+`VelocityQP` does not re-check the limits that scenario load checks.
 Most calls end in the pass-through, where the speed-clipped reference
 satisfies every row; `filter_velocity` tests that row by row inline,
 with the same arithmetic as the row builder, and builds the rows only
@@ -47,6 +48,11 @@ class VelocityQP:
     in 1/s.  alpha_c trades standoff distance against aggressiveness:
     the zero-velocity equilibrium of a pairwise row sits at
     d* = (v_max + sqrt(v_max^2 + 4 alpha_c^2 r^2)) / (2 alpha_c).
+
+    Nothing is checked here: the caller guarantees v_max > 0, r > 0,
+    R_o > r and positive gains.  The simulation builds one of these per
+    robot per step from a `ScenarioConfig`, which checks those ranges
+    once at load.
     """
 
     v_ref: tuple
@@ -57,12 +63,6 @@ class VelocityQP:
     R_o: float
     alpha: float = 1.0
     alpha_c: float = 1.0
-
-    def __post_init__(self):
-        if not (self.v_max > 0.0 and self.r > 0.0 and self.R_o > self.r):
-            raise ValueError("need v_max > 0, r > 0, R_o > r")
-        if not (self.alpha > 0.0 and self.alpha_c > 0.0):
-            raise ValueError("barrier gains must be positive")
 
 
 def _affine_rows(qp: VelocityQP) -> list:

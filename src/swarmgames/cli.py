@@ -3,7 +3,8 @@ fan out a Monte Carlo campaign.
 
 Exit codes
     0   success (allocate: verified equilibrium; sim: reached t_final)
-    1   malformed input file or bad override
+    1   malformed input file or bad override, or a scenario whose
+        robots cannot be placed
     2   the equilibrium search failed (AllocationError), or allocate
         produced a strategy the equilibrium oracle rejects (montecarlo:
         in any run, after every artifact is written)
@@ -208,7 +209,11 @@ def cmd_sim(args) -> int:
         return _fail(f"cannot read {args.scenario}: {exc.strerror}", 1)
     except ScenarioError as exc:
         return _fail(str(exc), 1)
-    metrics = run(config, args.seed)
+    try:
+        metrics = run(config, args.seed)
+    except ScenarioError as exc:
+        # a scenario the run cannot set up, such as robots that do not fit
+        return _fail(str(exc), 1)
     _atomic_write(args.out, metrics.write_csv)
     steps = len(metrics.rows)
     print(f"{config.kind} seed={args.seed if args.seed is not None else config.seed}: "
@@ -373,13 +378,16 @@ def cmd_montecarlo(args) -> int:
     mapping = to_mapping(config)
     items = [(mapping, base + i, args.out) for i in range(args.runs)]
     jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and args.runs > 1:
-        # map preserves submission order, so the aggregate cannot
-        # depend on completion order
-        with multiprocessing.Pool(min(jobs, args.runs)) as pool:
-            stats = pool.map(_campaign_worker, items)
-    else:
-        stats = [_campaign_worker(item) for item in items]
+    try:
+        if jobs > 1 and args.runs > 1:
+            # map preserves submission order, so the aggregate cannot
+            # depend on completion order
+            with multiprocessing.Pool(min(jobs, args.runs)) as pool:
+                stats = pool.map(_campaign_worker, items)
+        else:
+            stats = [_campaign_worker(item) for item in items]
+    except ScenarioError as exc:
+        return _fail(str(exc), 1)
     summary = summarize_runs(stats)
     deadlocked = sum(1 for row in stats if row["failure"] == DEADLOCKED)
     failed = [row for row in stats if row["failure"] == ALLOCATION_FAILED]

@@ -132,6 +132,16 @@ class MonitoringParams:
             raise ScenarioError("monitoring rates out of range or not finite")
         if not (_positive(self.idle_ring) and _positive(self.service_radius)):
             raise ScenarioError("monitoring radii must be finite and positive")
+        # the parking ring is centred on the domain disk's centre
+        if not self.idle_ring < self.domain_radius:
+            raise ScenarioError(
+                f"monitoring.idle_ring={self.idle_ring:g} must be below the domain "
+                f"radius D/sqrt(2) = {self.domain_radius:g}")
+
+    @property
+    def domain_radius(self) -> float:
+        """Radius of the smallest disk containing the D x D workspace."""
+        return self.D * math.sqrt(2.0) / 2.0
 
 
 def _pentagon():
@@ -171,7 +181,9 @@ class ScenarioConfig:
 
     Exactly one of `colony` / `monitoring` is set, matching `kind`.
     `events` keeps the authoring order; the engine sorts its internal
-    schedule by time.
+    schedule by time.  The limits the velocity filter relies on
+    (positive v_max, r and gains, r below the domain radius) are
+    checked here, once; the engine does not check them again.
     """
 
     kind: str
@@ -225,6 +237,12 @@ class ScenarioConfig:
                 raise ScenarioError("gamma length must match the node count")
             if any(e.kind == "cargo_delivery" for e in self.events):
                 raise ScenarioError("cargo_delivery events only apply to colony scenarios")
+        # the velocity filter needs the collision radius inside the domain disk
+        radius, where = ((self.colony.R_o, "colony.R_o") if self.kind == "colony"
+                         else (self.monitoring.domain_radius, "monitoring.D/sqrt(2)"))
+        if not self.r < radius:
+            raise ScenarioError(
+                f"r={self.r:g} must be below the domain radius {where} = {radius:g}")
 
     @property
     def n_tasks(self) -> int:

@@ -10,6 +10,7 @@ task at the colony.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -31,6 +32,25 @@ CARGO = "cargo"
 
 # motion drain sits an order of magnitude below the colony leakage rate
 MOTION_DRAIN_FACTOR = 0.1
+
+
+@dataclasses.dataclass(slots=True)
+class ColonyRobot(RobotState):
+    """A colony robot: the engine's shared state plus its behavior arguments.
+
+    `target` is the random walk's or the return trip's waypoint, `node`
+    the claimed source while approaching it (-1 otherwise), `wait` the
+    time left at the depot, `payload` what it carries home (a source id
+    or "cargo"; only in ReturnHome), `energy_used` its running motion
+    deficit (<= 0) and `memory` the position of its last find.
+    """
+
+    target: tuple | None = None
+    node: int = -1
+    wait: float = 0.0
+    payload: object = None
+    energy_used: float = 0.0
+    memory: tuple | None = None
 
 
 def colony_energy_step(E_c: float, deliveries: int, charges: float,
@@ -64,8 +84,8 @@ def _project_annulus(x: float, y: float, inner: float, outer: float) -> tuple:
     return (x, y)
 
 
-def random_walk_step(robot: RobotState, h: float, domain: tuple,
-                     rng: random.Random, arrive_radius: float = 0.5) -> RobotState:
+def random_walk_step(robot: ColonyRobot, h: float, domain: tuple,
+                     rng: random.Random, arrive_radius: float = 0.5) -> ColonyRobot:
     """Keep a walking robot supplied with a target inside the annulus.
 
     Draws a fresh heading when the robot has no target or has reached
@@ -131,14 +151,16 @@ class ColonyDynamics:
         while len(points) < n:
             attempts += 1
             if attempts > 100_000:
-                raise ScenarioError("cannot place robots with the requested separation")
+                raise ScenarioError(
+                    f"seed {seed}: cannot place n_robots={n} colony.min_separation="
+                    f"{p.min_separation:g} apart inside colony.R_i={p.R_i:g}")
             radius = p.R_i * math.sqrt(rng_place.random())
             theta = rng_place.uniform(0.0, 2.0 * math.pi)
             x, y = radius * math.cos(theta), radius * math.sin(theta)
             sep = p.min_separation * p.min_separation
             if all((x - qx) ** 2 + (y - qy) ** 2 >= sep for qx, qy in points):
                 points.append((x, y))
-        world.robots = [RobotState(id=i, group=0, x=x, y=y)
+        world.robots = [ColonyRobot(id=i, x=x, y=y)
                         for i, (x, y) in enumerate(points)]
         span = p.R_o * p.R_o - p.R_i * p.R_i
         for sid in range(p.n_sources):

@@ -49,15 +49,17 @@ every later step repeats this one.  Only a pending robot_removal event
 can change the rows, so the rule waits while one is due.
 
 Scenario hooks.  `build_world` makes one dynamics object per run,
-`ColonyDynamics` or `MonitoringDynamics`, and `WorldState` holds only
-what both scenarios share.  The colony object owns its energy store,
-cargo counts, sources and claims, energy-flow books and walk streams;
-the monitoring object owns the node information levels `R`.  Besides
-`columns`, `domain_center` and `domain_radius`, each object has these
-hooks, called in this order:
+`ColonyDynamics` or `MonitoringDynamics`, and `WorldState` and
+`RobotState` hold only what both scenarios share.  The colony object
+owns its energy store, cargo counts, sources and claims, energy-flow
+books and walk streams, and its robots are `ColonyRobot`s that add the
+walk, depot and cargo state; the monitoring object owns the node
+information levels `R`.  Besides `columns`, `domain_center` and
+`domain_radius`, each object has these hooks, called in this order:
 
 - `init_world(world, seed)`, once from `build_world`: place the robots
-  and build the scenario's own named random streams;
+  (a `RobotState` or a scenario subclass of it) and build the
+  scenario's own named random streams;
 - every step: `apply_event(world, event)` for each due event,
   `integrate(world, dt)`, `signals(world)`, `build_instance(world)`
   when a robot is idle, `behave(world, robot, dt)` for each robot,
@@ -67,7 +69,8 @@ hooks, called in this order:
 - `cargo_done_time(world)`, once from `run`.
 
 `build_instance` builds its `ProblemInstance` through the trusted
-constructor, which skips validation: every value it uses comes from a
+constructor, and `step` builds each robot's `VelocityQP`, neither of
+which checks its inputs: every value they use comes from a
 `ScenarioConfig`, whose numbers are checked finite and in range once at
 load, or from state the scenario keeps inside those ranges.
 """
@@ -107,25 +110,18 @@ _INSIDE = 1.0 - 1e-9
 
 @dataclasses.dataclass(slots=True)
 class RobotState:
-    """One robot; behavior arguments live in target/node/wait."""
+    """One robot, as the engine sees it: what every scenario shares.
+
+    A scenario whose behaviors need more per-robot state subclasses
+    this (the colony's `ColonyRobot`).
+    """
 
     id: int
-    group: int
     x: float
     y: float
-    assigned_task: int = 0
+    assigned_task: int = 0          # 0 = idle, k = task k
     behavior: str = IDLE_AT_BASE
-    target: tuple | None = None
-    node: int = -1
-    wait: float = 0.0
-    payload: object = None          # source id or "cargo"; only in ReturnHome
-    energy_used: float = 0.0        # running motion deficit, <= 0
-    memory: tuple | None = None     # last successful source position
-    deadlock: bool = False
-
-    @property
-    def position(self) -> tuple:
-        return (self.x, self.y)
+    deadlock: bool = False          # the last step's filter found no velocity
 
 
 @dataclasses.dataclass

@@ -45,8 +45,7 @@ class MonitoringDynamics:
                         + tuple(f"n_task{k + 1}" for k in range(m))
                         + ("min_dist",))
         self.domain_center = self.p.idle_point
-        # smallest disk containing the D x D workspace
-        self.domain_radius = self.p.D * math.sqrt(2.0) / 2.0
+        self.domain_radius = self.p.domain_radius
         cx, cy = self.p.idle_point
         n = config.n_robots
         self.slots = [
@@ -64,7 +63,7 @@ class MonitoringDynamics:
     # -- setup ---------------------------------------------------------
 
     def init_world(self, world, seed):
-        world.robots = [RobotState(id=i, group=i, x=x, y=y)
+        world.robots = [RobotState(id=i, x=x, y=y)
                         for i, (x, y) in enumerate(self.slots)]
 
     # -- events and continuous dynamics ---------------------------------
@@ -110,14 +109,11 @@ class MonitoringDynamics:
         if robot.assigned_task and self.R[robot.assigned_task - 1] <= 0.0:
             # node drained (by this robot or a teammate): job done
             robot.assigned_task = 0
-            robot.behavior = IDLE_AT_BASE
-            robot.node = -1
         if robot.assigned_task == 0:
             robot.behavior = IDLE_AT_BASE
             slot = self.slots[robot.id]
             return toward(robot, *slot, dt, self.config.v_max)
         k = robot.assigned_task - 1
-        robot.node = k
         nx, ny = self.p.nodes[k]
         dx, dy = nx - robot.x, ny - robot.y
         in_range = dx * dx + dy * dy <= self.p.service_radius * self.p.service_radius

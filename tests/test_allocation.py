@@ -421,6 +421,60 @@ def test_allocate_hetero_idle_feasible():
     assert result.report.valid
 
 
+def unique_merge_round(inst):
+    """allocate's array round as it was with the merge by np.unique on a
+    void view of the cost rows: the reference for _merge_groups."""
+    costs, counts = inst.costs, inst.counts
+    keys = np.ascontiguousarray(costs).view(np.dtype((np.void, costs.itemsize * costs.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    merged_idx = np.argsort(order)[inverse]
+    merged = np.zeros((order.size, counts.shape[1]), dtype=counts.dtype)
+    np.add.at(merged, merged_idx, counts)
+    c, n0 = costs[first[order]], merged[:, 0].astype(float)
+    gamma, s, ntask = inst.gamma, inst.signals, inst.task_totals.astype(float)
+    probs_m = allocation._warm_start(gamma, s, c, n0, ntask)
+    if not allocation._certified(1.0 - s - c, gamma, n0, ntask, probs_m):
+        probs_m = allocation._search(gamma, s, c, n0, ntask, probs_m)[0]
+    probs = np.zeros((inst.n_groups, inst.n_tasks + 1))
+    probs[:, 0] = 1.0
+    deciding = inst.idle_counts > 0
+    rows = allocation._snap(probs_m[merged_idx[deciding]])
+    p0 = 1.0 - rows.sum(axis=1)
+    probs[deciding, 0] = np.where(np.abs(p0) < EPS_ZERO, 0.0, p0)
+    probs[deciding, 1:] = rows
+    return probs
+
+
+def test_merge_groups_pools_bit_identical_rows_in_first_appearance_order():
+    costs = np.array([[0.5, 0.25], [0.0, 0.1], [0.5, 0.25], [-0.0, 0.1], [0.0, 0.1],
+                      [0.5, 0.25 + 1e-17], [0.5, np.nextafter(0.25, 1.0)]])
+    merged_idx, first = allocation._merge_groups(costs)
+    # 0.25 + 1e-17 rounds to 0.25; the next float up and -0.0 stay apart
+    assert merged_idx == [0, 1, 0, 2, 1, 0, 3]
+    assert first == [0, 1, 3, 6]
+
+
+@pytest.mark.parametrize("g,m,distinct", [(2, 33, 2), (5, 16, 3)])
+def test_merge_groups_matches_the_unique_merge(g, m, distinct):
+    # array rounds (above _SMALL_CELLS cells) whose cost rows are drawn
+    # from a few distinct ones, so most of them pool groups
+    rng = np.random.default_rng(20261019 + g)
+    paths, pooled = set(), 0
+    for _ in range(40):
+        base = np.round(rng.uniform(0.0, 1.0, (distinct, m)), 1)
+        costs = base[rng.integers(0, distinct, g)]
+        counts = rng.integers(0, 6, (g, m + 1))
+        inst = ProblemInstance(np.round(rng.uniform(1.0, 20.0, m)),
+                               np.round(rng.uniform(0.0, 1.0, m), 1), costs, counts)
+        assert inst.costs.size > allocation._SMALL_CELLS
+        result = allocate(inst, check=False)
+        assert np.array_equal(result.strategy.probs, unique_merge_round(inst))
+        paths.add(result.path)
+        pooled += len(allocation._merge_groups(inst.costs)[1]) < g
+    assert pooled >= 20 and paths - {"warm"}
+
+
 def test_allocate_splits_identical_cost_groups_evenly():
     pooled = allocate(homogeneous([10.0, 10.0], [0.2, 0.4], idle=5)).strategy
     split = allocate(ProblemInstance(
@@ -790,12 +844,18 @@ def best_response_sweeps(gamma, s, c, n0, ntask, probs, max_sweeps=10_000):
     raise AssertionError(f"the reference sweeps did not converge in {max_sweeps}")
 
 
+def merged_round(inst):
+    """The merged groups' cost rows and idle counts, and the task totals,
+    as allocate builds them."""
+    merged_idx, first = allocation._merge_groups(inst.costs)
+    return (inst.costs[first], np.bincount(merged_idx, inst.idle_counts),
+            inst.task_totals.astype(float))
+
+
 def sweep_loads(inst):
     """Task loads the best-response sweeps reach on the merged instance,
     started from the closed-form warm start."""
-    _, merged_counts, c = allocation._merge_groups(inst.costs, inst.counts)
-    n0 = merged_counts[:, 0].astype(float)
-    ntask = inst.task_totals.astype(float)
+    c, n0, ntask = merged_round(inst)
     warm = allocation._warm_start(inst.gamma, inst.signals, c, n0, ntask)
     return ntask + n0 @ best_response_sweeps(inst.gamma, inst.signals, c, n0, ntask, warm)
 
@@ -1039,8 +1099,8 @@ def rounded_tie_rounds(draws):
         else:
             counts[:] = child.integers(0, 11, (g, m + 1))
         inst = ProblemInstance(gamma, signals, costs, counts)
-        merged = allocation._merge_groups(costs, counts)[2]
-        yield inst if merged.size > allocation._SMALL_CELLS else None
+        merged = len(allocation._merge_groups(costs)[1])
+        yield inst if merged * m > allocation._SMALL_CELLS else None
 
 
 def recording_crossover(mp):
@@ -1098,9 +1158,7 @@ def test_crossover_finishes_from_a_far_start(inst, busy):
     # the equilibrium's, so allocate seldom needs its releases.  From
     # everyone idling, every supported cell must be released in turn; from
     # every group busy on all tasks, every idling group must be.
-    _, merged_counts, c = allocation._merge_groups(inst.costs, inst.counts)
-    n0 = merged_counts[:, 0].astype(float)
-    ntask = inst.task_totals.astype(float)
+    c, n0, ntask = merged_round(inst)
     x = np.zeros((int(np.count_nonzero(n0)), inst.n_tasks + 1))
     z = np.zeros_like(x)
     if busy:

@@ -85,17 +85,6 @@ def test_opposed_neighbors_are_a_deadlock():
     assert v == (0.0, 0.0)
 
 
-def test_parameter_validation():
-    with pytest.raises(ValueError):
-        VelocityQP((0, 0), (0, 0), [], v_max=0.0, r=0.25, R_o=30.0)
-    with pytest.raises(ValueError):
-        VelocityQP((0, 0), (0, 0), [], v_max=1.0, r=0.0, R_o=30.0)
-    with pytest.raises(ValueError):
-        VelocityQP((0, 0), (0, 0), [], v_max=1.0, r=0.25, R_o=0.2)
-    with pytest.raises(ValueError):
-        VelocityQP((0, 0), (0, 0), [], alpha_c=0.0, **COLONY)
-
-
 def test_head_on_rollout_is_symmetric_and_separating():
     dt = 0.1
     a = [-2.0, 0.0]

@@ -251,6 +251,35 @@ def test_horizon_under_half_a_step_exits_1(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario,override,field", [
+    ("monitoring", "r=5", "monitoring.D/sqrt(2)"), ("colony", "r=31", "colony.R_o"),
+    ("monitoring", "monitoring.D=1.0e-300", "monitoring.idle_ring"),
+    ("monitoring", "monitoring.idle_ring=3.0", "monitoring.idle_ring"),
+    ("monitoring", "monitoring.idle_ring=1.0e+300", "monitoring.idle_ring"),
+])
+def test_sim_radius_outside_the_domain_exits_1(tmp_path, capsys, scenario, override, field):
+    # the velocity filter and the parking ring need these inside the domain disk
+    out = tmp_path / "o.csv"
+    assert main(["sim", "--scenario", scenario, "--t-final", "1", "--set", override,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert field in err and "must be below the domain radius" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sim", "montecarlo"])
+def test_robots_that_cannot_be_placed_exit_1(tmp_path, capsys, command):
+    # 200 robots 1 m apart do not fit in the 5 m colony disk; placement
+    # is drawn per seed, so only the run finds out
+    out = tmp_path / "out"
+    extra = ["--runs", "2", "--jobs", "2"] if command == "montecarlo" else []
+    assert main([command, "--scenario", "colony", "--set", "n_robots=200", "--t-final", "1",
+                 *extra, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "cannot place n_robots=200 colony.min_separation=1 apart" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_sim_dotted_event_override(tmp_path):
     out = tmp_path / "ev.csv"
     assert main(["sim", "--scenario", "colony", "--seed", "0",

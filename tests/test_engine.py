@@ -10,11 +10,12 @@ from swarmgames.scenarios import Event, colony_default, monitoring_default
 from swarmgames.sim import DEADLOCKED, build_world, run, step
 from swarmgames.sim.colony import (
     RETURN_HOME,
+    ColonyRobot,
     colony_energy_step,
     random_walk_step,
     robot_energy_step,
 )
-from swarmgames.sim.engine import IDLE_AT_BASE, RobotState
+from swarmgames.sim.engine import IDLE_AT_BASE
 from swarmgames.sim.monitoring import node_information_step
 
 COLONY_BEHAVIORS = {
@@ -65,7 +66,7 @@ def test_node_information_clamps_both_ends():
 
 
 def test_random_walk_draws_target_at_leg_distance():
-    robot = RobotState(id=0, group=0, x=10.0, y=0.0)
+    robot = ColonyRobot(id=0, x=10.0, y=0.0)
     mirror = random.Random("walk-test")
     theta = mirror.uniform(0.0, 2.0 * math.pi)
     random_walk_step(robot, 5.0, (5.0, 30.0), random.Random("walk-test"))
@@ -74,13 +75,13 @@ def test_random_walk_draws_target_at_leg_distance():
 
 
 def test_random_walk_keeps_distant_target():
-    robot = RobotState(id=0, group=0, x=10.0, y=0.0, target=(20.0, 0.0))
+    robot = ColonyRobot(id=0, x=10.0, y=0.0, target=(20.0, 0.0))
     random_walk_step(robot, 5.0, (5.0, 30.0), random.Random(1))
     assert robot.target == (20.0, 0.0)
 
 
 def test_random_walk_redraws_on_arrival():
-    robot = RobotState(id=0, group=0, x=10.0, y=0.0, target=(10.2, 0.0))
+    robot = ColonyRobot(id=0, x=10.0, y=0.0, target=(10.2, 0.0))
     random_walk_step(robot, 5.0, (5.0, 30.0), random.Random(2))
     assert robot.target != (10.2, 0.0)
     dist = math.hypot(robot.target[0] - 10.0, robot.target[1])
@@ -90,7 +91,7 @@ def test_random_walk_redraws_on_arrival():
 def test_random_walk_projects_target_into_annulus():
     rng = random.Random(3)
     for x in (29.5, 5.5, 6.0):
-        robot = RobotState(id=0, group=0, x=x, y=0.0)
+        robot = ColonyRobot(id=0, x=x, y=0.0)
         for _ in range(40):
             robot.target = None
             random_walk_step(robot, 5.0, (5.0, 30.0), rng)

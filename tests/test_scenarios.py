@@ -203,3 +203,48 @@ def test_defaults_make_valid_problem_instances():
     inst = ProblemInstance(
         gamma=list(mon.gamma), signals=[1.0] * 5, costs=costs, counts=counts)
     assert np.all(inst.costs <= 1.0)
+
+
+def _with(config, **changes):
+    """`config` loaded back from its mapping with fields changed; a
+    section's field is named `section__field`."""
+    mapping = to_mapping(config)
+    for name, value in changes.items():
+        section, _, field = name.rpartition("__")
+        (mapping[section] if section else mapping)[field] = value
+    return from_mapping(mapping)
+
+
+def test_filter_limits_are_checked_at_load():
+    # the velocity filter trusts these ranges and checks none of them
+    for field in ("v_max", "r", "alpha", "alpha_c"):
+        with pytest.raises(ScenarioError, match=f"^{field} must be finite and positive"):
+            _with(colony_default(), **{field: 0.0})
+    with pytest.raises(ScenarioError, match=r"r=30 must be below .* colony\.R_o = 30$"):
+        _with(colony_default(), r=30.0)
+    with pytest.raises(ScenarioError, match=r"colony\.R_o"):
+        _with(colony_default(), r=31.0)
+    assert _with(colony_default(), r=29.0).r == 29.0
+    # monitoring's domain disk is the one around the D x D square
+    radius = 4.0 * math.sqrt(2.0) / 2.0
+    assert monitoring_default().monitoring.domain_radius == radius
+    with pytest.raises(ScenarioError, match=r"r=5 must be below .*D/sqrt\(2\) = 2\.828"):
+        _with(monitoring_default(), r=5.0)
+    with pytest.raises(ScenarioError, match=r"monitoring\.D/sqrt\(2\)"):
+        _with(monitoring_default(), r=radius)
+    with pytest.raises(ScenarioError, match=r"monitoring\.D/sqrt\(2\)"):
+        _with(monitoring_default(), r=0.5, monitoring__D=0.5, monitoring__idle_ring=0.1)
+    assert _with(monitoring_default(), r=2.8).r == 2.8
+
+
+def test_idle_ring_must_fit_in_the_domain_disk():
+    # the parking slots sit on this ring around the domain disk's centre
+    for ring in (3.0, 2.0 * math.sqrt(2.0), 1.0e300):
+        with pytest.raises(ScenarioError, match=r"monitoring\.idle_ring=.* must be below"):
+            MonitoringParams(idle_ring=ring)
+        with pytest.raises(ScenarioError, match=r"monitoring\.idle_ring"):
+            _with(monitoring_default(), monitoring__idle_ring=ring)
+    # a tiny D shrinks the disk under the default ring
+    with pytest.raises(ScenarioError, match=r"monitoring\.idle_ring"):
+        MonitoringParams(D=1.0e-300)
+    assert MonitoringParams(idle_ring=2.8).idle_ring == 2.8
