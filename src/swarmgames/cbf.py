@@ -50,9 +50,7 @@ class VelocityQP:
     d* = (v_max + sqrt(v_max^2 + 4 alpha_c^2 r^2)) / (2 alpha_c).
 
     Nothing is checked here: the caller guarantees v_max > 0, r > 0,
-    R_o > r and positive gains.  The simulation builds one of these per
-    robot per step from a `ScenarioConfig`, which checks those ranges
-    once at load.
+    R_o > r and positive gains, as a `ScenarioConfig` does at load.
     """
 
     v_ref: tuple

@@ -36,21 +36,14 @@ MOTION_DRAIN_FACTOR = 0.1
 
 @dataclasses.dataclass(slots=True)
 class ColonyRobot(RobotState):
-    """A colony robot: the engine's shared state plus its behavior arguments.
+    """A colony robot: the engine's shared state plus its behavior arguments."""
 
-    `target` is the random walk's or the return trip's waypoint, `node`
-    the claimed source while approaching it (-1 otherwise), `wait` the
-    time left at the depot, `payload` what it carries home (a source id
-    or "cargo"; only in ReturnHome), `energy_used` its running motion
-    deficit (<= 0) and `memory` the position of its last find.
-    """
-
-    target: tuple | None = None
-    node: int = -1
-    wait: float = 0.0
-    payload: object = None
-    energy_used: float = 0.0
-    memory: tuple | None = None
+    target: tuple | None = None     # random-walk waypoint
+    node: int = -1                  # source claimed while in ApproachItem
+    wait: float = 0.0               # time left at the depot
+    payload: object = None          # source id or "cargo"; only in ReturnHome
+    energy_used: float = 0.0        # running motion deficit, <= 0
+    memory: tuple | None = None     # last successful source position
 
 
 def colony_energy_step(E_c: float, deliveries: int, charges: float,
