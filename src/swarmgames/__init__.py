@@ -1,6 +1,6 @@
 """Task allocation and simulation for robot collectives.
 
-The package splits into a game-theoretic core (`allocation`, `linalg`),
+The package splits into a game-theoretic core (`allocation`),
 a safety layer (`cbf`), scenario configuration (`scenarios`), the
 simulation engine (`sim`), and a command-line front end (`cli`).
 """

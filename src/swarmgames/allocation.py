@@ -25,12 +25,16 @@ minimisers of the convex potential
 over x >= 0 with sum_k x_ik <= n_0^i: the optimality conditions of that
 problem are the equilibrium conditions.  `allocate` first tries a
 closed-form warm start.  When that fails the KKT test it searches for
-the equilibrium support, then finishes with one linear solve of the
+the equilibrium support, then finishes with one solve of the
 equilibrium equations on that support, or with a crossover where ties
-leave that solve singular.  A busy group (one whose idle
-action is out of the support) with a single supported task puts its
-whole mass there, so only the cells the equations couple are unknowns.
-There are two searches and one finish:
+leave that solve singular.  A busy group (one whose idle action is out
+of the support) with a single supported task puts its whole mass there.
+Each other cell of a busy group joins it to a task, and with the tasks
+that idle-mode groups pin as one root, those cells form a graph.  On a
+forest the equations are triangular and are solved by substitution;
+where the cells close a cycle, mass moved around it changes no row sum
+or load, and the solve is singular.  There are two searches and one
+finish:
 
 - Principal pivoting on the (support, busy) pattern (Cottle, Pang &
   Stone 1992, ch. 4): solve the equations on it, flip its largest KKT
@@ -76,7 +80,8 @@ import math
 
 import numpy as np
 
-from .linalg import SingularSystem, solve_linear
+# _interior's M x M coupling solve; the benchmark's linalg layer wraps this name
+from numpy.linalg import solve as solve_linear
 
 __all__ = [
     "EPS_ZERO",
@@ -110,6 +115,10 @@ _MU_FLOOR = 1e-15         # ... at which the interior method stops
 
 class AllocationError(RuntimeError):
     """The crossover after the interior search hit its step cap."""
+
+
+class SingularSystem(ArithmeticError):
+    """The busy groups and tasks of a support pattern close a cycle."""
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +328,31 @@ def _solve_modes(gamma, s, c, n0, ntask, sup, busy):
     """Solve the equilibrium equations for fixed supports and modes.
 
     A busy group with one supported task puts probability 1 on it, so its
-    load is a constant and moves to the right-hand side.  The unknowns
-    are the other supported cells' probabilities.  Each supported task
-    with idle-mode groups pins its expected head count to the first such
-    group's zero-utility level and equates the others' probabilities
-    with it; each remaining busy group equates its utility on its first
-    supported task with every other and normalises its row.  That is one
-    square system over the coupled cells, solved with one solve_linear
-    call (none when no cell is left).  Where the busy groups and their
-    tasks close a cycle, the pinned tasks counting as one node, mass
-    moved around it keeps every row sum and load; such a system is
-    reported singular without a solve, and solve_linear judges the rest.
-    Entries can be negative on a support that holds no equilibrium; the
-    caller tests the result.  Returns the (g, M) task-probability matrix.
+    load is a constant.  Each other supported cell of a busy group is an
+    edge between the group and the task, in a graph where the pinned
+    tasks (those with idle-mode groups) count as one root node.  On a
+    forest the equations are triangular, the spanning-tree basis of
+    network simplex (Ahuja, Magnanti & Orlin, Network Flows, 1993,
+    ch. 11), and are solved by substitution in plain floats:
+
+    - Prices q_k = L_k / gamma_k spread from the root.  A pinned task's
+      is its first idle-mode group's (in ascending order) zero-utility
+      level, 1 - s_k - c_k.  A busy group then earns w_ik - q_k on the
+      task it was reached from, with w_ik = 1 - s_k - c_ik, and its
+      other tasks' prices follow from that value.
+    - A tree without a pinned task fixes its prices up to one common
+      shift, which its mass balance (its groups' idle robots make up its
+      tasks' loads) sets with one division by its sum of gamma_k.
+    - Masses peel off from the leaves: a leaf task's remaining load over
+      its group's n0, a leaf group's remaining row mass, and on a pinned
+      task what the busy groups leave of its load, shared by its
+      idle-mode groups with equal probabilities.
+
+    Where the busy groups and their tasks close a cycle, mass moved
+    around it keeps every row sum and load, so the equations leave it
+    free: that raises SingularSystem, the only singular case.  Entries
+    can be negative on a support that holds no equilibrium; the caller
+    tests the result.  Returns the (g, M) task-probability matrix.
     """
     g, m = c.shape
     if not busy.any():
@@ -347,82 +368,84 @@ def _solve_modes(gamma, s, c, n0, ntask, sup, busy):
         return sup * shared[None, :]
 
     tasks, groups = sup.T.nonzero()
-    tasks, groups = tasks.tolist(), groups.tolist()
-    # plain floats: numpy scalar arithmetic costs more than these few rows
+    # plain floats: numpy scalar arithmetic costs more than this walk
     gamma_, s_, n0_, ntask_ = gamma.tolist(), s.tolist(), n0.tolist(), ntask.tolist()
     busy_ = busy.tolist()
-    more = {}  # busy group: whether it supports more than one task
-    for i in groups:
+    idles = {}     # pinned task: its idle-mode groups, ascending
+    tasks_of = {}  # busy group: its supported tasks, ascending
+    for k, i in zip(tasks.tolist(), groups.tolist()):
         if busy_[i]:
-            more[i] = i in more
-    lone = {i for i, several in more.items() if not several}
-    cells_of = [[] for _ in range(m)]  # (group, unknown) per task
-    busy_cells = {}                    # (task, unknown) per coupled busy group
-    flat, ones = [], []                # (g, M) indices of the unknowns and of the lone cells
-    for i, k in zip(groups, tasks):
-        if i in lone:
-            ntask_[k] += n0_[i]
-            ones.append(i * m + k)
-            continue
-        pos = len(flat)
-        flat.append(i * m + k)
-        cells_of[k].append((i, pos))
-        if busy_[i]:
-            busy_cells.setdefault(i, []).append((k, pos))
-    dim = len(flat)
-    entries, vals, b = [], [], []  # a's flat indices and values, row by row
-
-    def load(k, scale):
-        """Task k's expected head count, less its constant part, times
-        scale, into the next row."""
-        for i, pos in cells_of[k]:
-            entries.append(len(b) * dim + pos)
-            vals.append(scale * n0_[i])
-
-    link = {}  # tasks joined through coupled busy groups; pinned tasks hang off node -1
-    for k, cells in enumerate(cells_of):
-        idles = [(i, pos) for i, pos in cells if not busy_[i]]
-        if not idles:
-            continue
-        link[k] = -1
-        pin, pin_pos = idles[0]
-        load(k, 1.0)
-        b.append(gamma_[k] * (1.0 - s_[k] - float(c[pin, k])) - ntask_[k])
-        for _, pos in idles[1:]:
-            entries += [len(b) * dim + pin_pos, len(b) * dim + pos]
-            vals += [1.0, -1.0]
-            b.append(0.0)
-    for i in sorted(busy_cells):
-        cells = busy_cells[i]
-        tops = set()
-        for k, _ in cells:
-            while k in link:
-                k = link[k]
-            tops.add(k)
-        if len(tops) < len(cells):  # two of its tasks are already joined
-            raise SingularSystem("the busy groups' supports close a cycle")
-        first = tops.pop()
-        for node in tops:
-            link[node] = first
-        j = cells[0][0]
-        for k, _ in cells[1:]:
-            load(j, 1.0 / gamma_[j])
-            load(k, -1.0 / gamma_[k])
-            b.append((s_[k] + float(c[i, k])) - (s_[j] + float(c[i, j]))
-                     + ntask_[k] / gamma_[k] - ntask_[j] / gamma_[j])
-        for _, pos in cells:
-            entries.append(len(b) * dim + pos)
+            tasks_of.setdefault(i, []).append(k)
+        else:
+            idles.setdefault(k, []).append(i)
+    flat, vals = [], []  # (g, M) indices and values of the solved cells
+    groups_on = [[] for _ in range(m)]  # coupled busy groups per task
+    for i, ks in tasks_of.items():
+        if len(ks) == 1:
+            ntask_[ks[0]] += n0_[i]
+            flat.append(i * m + ks[0])
             vals.append(1.0)
-        b.append(1.0)
-    assert len(b) == dim, "support bookkeeping produced a non-square system"
+        else:
+            for k in ks:
+                groups_on[k].append(i)
 
+    price = {k: 1.0 - s_[k] - c.item(ids[0], k) for k, ids in idles.items()}
+    value = {}  # coupled busy group: its utility on each of its tasks
+    edges = []  # tree edges (group, task, whether the task hangs below), parents first
+
+    def spread(stack):
+        """Value the groups and price the tasks the priced tasks on the
+        stack reach, each task with the group it was reached from.  A
+        task reached a second time closes a cycle (a group reached twice
+        then reaches the task it was first reached from)."""
+        while stack:
+            k, parent = stack.pop()
+            for i in groups_on[k]:
+                if i == parent:
+                    continue
+                value[i] = 1.0 - s_[k] - c.item(i, k) - price[k]
+                edges.append((i, k, False))
+                for j in tasks_of[i]:
+                    if j != k:
+                        if j in price:
+                            raise SingularSystem("the busy groups and tasks close a cycle")
+                        price[j] = 1.0 - s_[j] - c.item(i, j) - value[i]
+                        edges.append((i, j, True))
+                        stack.append((j, i))
+
+    spread([(k, None) for k in idles])
+    for k in range(m):
+        if groups_on[k] and k not in price:
+            # a tree without a pinned task: price k at 0, then shift every
+            # price by the tree's mass balance
+            start = len(edges)
+            price[k] = 0.0
+            spread([(k, None)])
+            tree = edges[start:]
+            ks = [k] + [j for _, j, below in tree if below]
+            heads = sum(n0_[i] for i, _, below in tree if not below)
+            shift = ((heads + sum(ntask_[j] - gamma_[j] * price[j] for j in ks))
+                     / sum(gamma_[j] for j in ks))
+            for j in ks:
+                price[j] += shift
+
+    rest = {k: gamma_[k] * q - ntask_[k] for k, q in price.items()}  # load not yet placed
+    left = dict.fromkeys(value, 1.0)                                    # row mass not yet placed
+    for i, k, below in reversed(edges):
+        if below:
+            p = rest[k] / n0_[i]
+            left[i] -= p
+        else:
+            p = left[i]
+            rest[k] -= n0_[i] * p
+        flat.append(i * m + k)
+        vals.append(p)
+    for k, ids in idles.items():
+        p = rest[k] / sum(n0_[i] for i in ids)
+        flat += [i * m + k for i in ids]
+        vals += [p] * len(ids)
     probs = np.zeros((g, m))
-    if ones:
-        probs.put(ones, 1.0)
-    if dim:
-        a = np.zeros((dim, dim))
-        a.put(entries, vals)
-        probs.put(flat, solve_linear(a, b))
+    probs.put(flat, vals)
     return probs
 
 
@@ -535,8 +558,9 @@ def _interior(gamma, s, c, n0, ntask):
     pattern and the iterations go on; a marked pattern met once mu is
     below _MU_TIE ends the search.  A round the polishes do not certify
     (such a marked pattern, mu below _MU_FLOOR, or _MAX_INTERIOR
-    iterations) ends in _crossover from the last iterate.  Returns the (g, M) task probabilities and the number
-    of interior iterations plus crossover steps.
+    iterations) ends in _crossover from the last iterate.  Returns the
+    (g, M) task probabilities and the number of interior iterations plus
+    crossover steps.
     """
     live = n0 > 0
     w_all = 1.0 - s - c
@@ -592,7 +616,7 @@ def _interior(gamma, s, c, n0, ntask):
         def newton(rc):
             r = rd - rc / x
             a = (rp - np.einsum("ij,ij->i", scale, r)) / row
-            t = np.linalg.solve(coupling, np.einsum("ij,ij->j", task, r[:, 1:] + a[:, None]))
+            t = solve_linear(coupling, np.einsum("ij,ij->j", task, r[:, 1:] + a[:, None]))
             dy = a + share @ t
             dx = scale * (r + dy[:, None])
             dx[:, 1:] -= task * t

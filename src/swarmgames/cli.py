@@ -345,11 +345,21 @@ def format_summary(summary: CampaignSummary, deadlocked: int, failed_allocations
     return "\n".join(lines) + "\n"
 
 
+def _run_csv(out_dir: str, seed: int) -> str:
+    return os.path.join(out_dir, f"run_{seed}.csv")
+
+
 def _campaign_worker(item) -> dict:
+    """One run of a campaign: its stats row, with its metrics CSV left
+    under the staging name `_atomic_write` uses, or {"seed", "error"} for
+    a seed whose robots cannot be placed."""
     mapping, seed, out_dir = item
     config = from_mapping(mapping)
-    metrics = run(config, seed)
-    _atomic_write(os.path.join(out_dir, f"run_{seed}.csv"), metrics.write_csv)
+    try:
+        metrics = run(config, seed)
+    except ScenarioError as exc:
+        return {"seed": seed, "error": str(exc)}
+    metrics.write_csv(_run_csv(out_dir, seed) + ".tmp")
     return _run_stats(metrics, seed)
 
 
@@ -378,16 +388,27 @@ def cmd_montecarlo(args) -> int:
     mapping = to_mapping(config)
     items = [(mapping, base + i, args.out) for i in range(args.runs)]
     jobs = args.jobs or os.cpu_count() or 1
-    try:
-        if jobs > 1 and args.runs > 1:
-            # map preserves submission order, so the aggregate cannot
-            # depend on completion order
-            with multiprocessing.Pool(min(jobs, args.runs)) as pool:
-                stats = pool.map(_campaign_worker, items)
+    if jobs > 1 and args.runs > 1:
+        # map preserves submission order, so the aggregate cannot
+        # depend on completion order
+        with multiprocessing.Pool(min(jobs, args.runs)) as pool:
+            stats = pool.map(_campaign_worker, items)
+    else:
+        stats = [_campaign_worker(item) for item in items]
+    # every run's CSV, or none of them if some seed's robots cannot be placed
+    unplaced = [row for row in stats if "error" in row]
+    for row in stats:
+        path = _run_csv(args.out, row["seed"])
+        if unplaced:
+            if "error" not in row:
+                os.remove(path + ".tmp")
         else:
-            stats = [_campaign_worker(item) for item in items]
-    except ScenarioError as exc:
-        return _fail(str(exc), 1)
+            os.replace(path + ".tmp", path)
+    if unplaced:
+        for row in unplaced:
+            print(row["error"], file=sys.stderr)
+        return _fail(f"cannot place the robots of {len(unplaced)} of {len(stats)} runs (seeds "
+                     f"{', '.join(str(row['seed']) for row in unplaced)})", 1)
     summary = summarize_runs(stats)
     deadlocked = sum(1 for row in stats if row["failure"] == DEADLOCKED)
     failed = [row for row in stats if row["failure"] == ALLOCATION_FAILED]

@@ -132,6 +132,9 @@ class MonitoringParams:
             raise ScenarioError("monitoring rates out of range or not finite")
         if not (_positive(self.idle_ring) and _positive(self.service_radius)):
             raise ScenarioError("monitoring radii must be finite and positive")
+        if not self.domain_radius < math.inf:
+            raise ScenarioError(
+                f"monitoring.D={self.D:g} is too large: its domain radius D/sqrt(2) overflows")
         # the parking ring is centred on the domain disk's centre
         if not self.idle_ring < self.domain_radius:
             raise ScenarioError(
@@ -230,6 +233,15 @@ class ScenarioConfig:
                 raise ScenarioError("colony scenario needs exactly the colony section")
             if len(self.gamma) != 2:
                 raise ScenarioError("colony runs two tasks; gamma must have 2 entries")
+            # disks of diameter min_separation around the robots are disjoint
+            # and lie inside the colony disk grown by min_separation / 2
+            p = self.colony
+            bound = (2.0 * p.R_i / p.min_separation + 1.0) ** 2
+            if self.n_robots > bound:
+                raise ScenarioError(
+                    f"cannot place n_robots={self.n_robots} colony.min_separation="
+                    f"{p.min_separation:g} apart inside colony.R_i={p.R_i:g}: at most "
+                    f"(2 R_i / min_separation + 1)^2 = {bound:g} fit")
         else:
             if self.monitoring is None or self.colony is not None:
                 raise ScenarioError("monitoring scenario needs exactly the monitoring section")

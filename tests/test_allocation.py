@@ -26,7 +26,6 @@ from swarmgames.allocation import (
     draw_action,
     verify_equilibrium,
 )
-from swarmgames.linalg import SingularSystem, solve_linear
 
 
 def homogeneous(gamma, signals, idle, assigned=None, costs=None):
@@ -827,7 +826,7 @@ def best_response_sweeps(gamma, s, c, n0, ntask, probs, max_sweeps=10_000):
                 polished.add(pattern)
                 try:
                     probs = allocation._solve_modes(gamma, s, c, n0, ntask, sup, busy)
-                except SingularSystem:
+                except allocation.SingularSystem:
                     probs = None
                 if probs is not None:
                     if allocation._certified(w, gamma, n0, ntask, probs):
@@ -923,28 +922,81 @@ def solve_modes_dense(gamma, s, c, n0, ntask, sup, busy):
         rhs.append(1.0)
     probs = np.zeros((g, m))
     if cells:
-        probs.T[sup.T] = solve_linear(np.array(rows), np.array(rhs))
+        probs.T[sup.T] = dense_solve(np.array(rows), np.array(rhs))
     return probs
+
+
+def dense_solve(a, b):
+    """LAPACK solve of A x = b, with its own singular verdict: a 2-norm
+    condition number above 1e12."""
+    if not np.linalg.cond(a) <= 1e12:
+        raise allocation.SingularSystem("ill-conditioned dense system")
+    return np.linalg.solve(a, b)
+
+
+def assert_patterns_match_the_dense_reference(inst):
+    """Run allocate on inst and check every pattern it solves, warm start
+    included, against solve_modes_dense: the same singular verdicts, and
+    solutions within 1e-12.  Returns allocate's result."""
+    systems = []
+    solve = allocation._solve_modes
+
+    def recording(*args):
+        systems.append([np.array(a) for a in args])  # the callers reuse sup and busy
+        return solve(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(allocation, "_solve_modes", recording)
+        result = allocate(inst)
+    for system in systems:
+        try:
+            reference = solve_modes_dense(*system)
+        except allocation.SingularSystem:
+            with pytest.raises(allocation.SingularSystem):
+                solve(*system)
+        else:
+            assert np.max(np.abs(solve(*system) - reference), initial=0.0) <= 1e-12
+    return result
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(instances(), small_rounds()))
 @example(MONITORING_CYCLE)
 def test_solve_modes_matches_the_dense_reference(inst):
-    # every pattern allocate solves on this round, warm start included
-    systems = []
-    solve = allocation._solve_modes
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(allocation, "_solve_modes", lambda *a: systems.append(a) or solve(*a))
-        allocate(inst, check=False)
-    for system in systems:
-        try:
-            reference = solve_modes_dense(*system)
-        except SingularSystem:
-            with pytest.raises(SingularSystem):
-                solve(*system)
-        else:
-            assert np.max(np.abs(solve(*system) - reference), initial=0.0) <= 1e-12
+    assert_patterns_match_the_dense_reference(inst)
+
+
+def wide_round(seed, g, m, pooled, rounded):
+    """A seeded round past the caps of `instances` (g <= 64, M <= 16).
+
+    Singleton groups with nothing committed, or pooled groups of 2-6 idle
+    robots with 0-3 committed per task.  A pooled task's gamma is its
+    committed count plus U(1, 3) times the idle robots per task, so that
+    the tasks are not full before anyone joins and groups turn busy.
+    Rounded draws make exact cost and task ties.
+    """
+    rng = np.random.default_rng([seed, g, m])
+    counts = np.zeros((g, m + 1), dtype=np.int64)
+    if pooled:
+        counts[:, 0] = rng.integers(2, 7, g)
+        counts[:, 1:] = rng.integers(0, 4, (g, m))
+        gamma = counts[:, 1:].sum(axis=0) + rng.uniform(1.0, 3.0, m) * counts[:, 0].sum() / m
+    else:
+        counts[:, 0] = 1
+        gamma = rng.uniform(1.0, 20.0, m)
+    signals, costs = rng.uniform(0.0, 1.0, m), rng.uniform(0.0, 1.0, (g, m))
+    if rounded:
+        gamma, signals, costs = np.round(gamma), np.round(signals, 1), np.round(costs, 1)
+    return ProblemInstance(gamma, signals, costs, counts)
+
+
+@pytest.mark.parametrize("rounded", [False, True])
+@pytest.mark.parametrize("g, m, pooled", [(256, 5, False), (1024, 5, False), (64, 32, False),
+                                          (256, 16, True)])
+def test_rounds_beyond_the_instance_caps_certify(g, m, pooled, rounded):
+    for seed in range(3):
+        result = assert_patterns_match_the_dense_reference(wide_round(seed, g, m, pooled, rounded))
+        assert result.report.valid, result.report
 
 
 def test_a_support_cycle_is_singular_without_a_solve():
@@ -959,12 +1011,10 @@ def test_a_support_cycle_is_singular_without_a_solve():
     pinned = [[1, 1, 0], [1, 0, 0], [0, 1, 0]], [1, 0, 0]
     for sup, busy in (shared, pinned):
         sup, busy = np.array(sup, dtype=bool), np.array(busy, dtype=bool)
-        with pytest.raises(SingularSystem):
+        with pytest.raises(allocation.SingularSystem):
             solve_modes_dense(gamma, s, c, n0, ntask, sup, busy)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(allocation, "solve_linear", None)  # a call would raise TypeError
-            with pytest.raises(SingularSystem):
-                allocation._solve_modes(gamma, s, c, n0, ntask, sup, busy)
+        with pytest.raises(allocation.SingularSystem):
+            allocation._solve_modes(gamma, s, c, n0, ntask, sup, busy)
 
 
 @st.composite

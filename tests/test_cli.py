@@ -269,8 +269,8 @@ def test_sim_radius_outside_the_domain_exits_1(tmp_path, capsys, scenario, overr
 
 @pytest.mark.parametrize("command", ["sim", "montecarlo"])
 def test_robots_that_cannot_be_placed_exit_1(tmp_path, capsys, command):
-    # 200 robots 1 m apart do not fit in the 5 m colony disk; placement
-    # is drawn per seed, so only the run finds out
+    # 200 robots 1 m apart do not fit in the 5 m colony disk, which the
+    # area bound finds when the config is built, before any placement draw
     out = tmp_path / "out"
     extra = ["--runs", "2", "--jobs", "2"] if command == "montecarlo" else []
     assert main([command, "--scenario", "colony", "--set", "n_robots=200", "--t-final", "1",
@@ -278,6 +278,30 @@ def test_robots_that_cannot_be_placed_exit_1(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "cannot place n_robots=200 colony.min_separation=1 apart" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_montecarlo_names_every_seed_it_cannot_place(tmp_path, capsys, jobs):
+    # 64 robots pass the area bound of 121, but seeds 0-2 find no
+    # placement in their draws while seed 3 does: no artifact is written
+    out = tmp_path / "camp"
+    assert main(["montecarlo", "--scenario", "colony", "--set", "n_robots=64", "--t-final", "1",
+                 "--seed", "0", "--runs", "4", "--jobs", jobs, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    for seed in (0, 1, 2):
+        assert f"seed {seed}: cannot place n_robots=64 colony.min_separation=1 apart" in err
+    assert "cannot place the robots of 3 of 4 runs (seeds 0, 1, 2)" in err
+    assert "seed 3" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_sim_monitoring_domain_past_overflow_exits_1(tmp_path, capsys):
+    # D/sqrt(2) overflows to inf, which would switch containment off
+    out = tmp_path / "m.csv"
+    assert main(["sim", "--scenario", "monitoring", "--set", "monitoring.D=1.5e+308",
+                 "--t-final", "20", "--out", str(out)]) == 1
+    assert "monitoring.D=1.5e+308 is too large" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sim_dotted_event_override(tmp_path):

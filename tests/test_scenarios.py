@@ -248,3 +248,26 @@ def test_idle_ring_must_fit_in_the_domain_disk():
     with pytest.raises(ScenarioError, match=r"monitoring\.idle_ring"):
         MonitoringParams(D=1.0e-300)
     assert MonitoringParams(idle_ring=2.8).idle_ring == 2.8
+
+
+def test_domain_radius_must_be_finite():
+    # D/sqrt(2) overflowing to inf would switch containment off
+    with pytest.raises(ScenarioError, match=r"monitoring\.D=1\.5e\+308 .*overflows"):
+        MonitoringParams(D=1.5e308)
+    with pytest.raises(ScenarioError, match=r"monitoring\.D="):
+        _with(monitoring_default(), monitoring__D=1.5e308)
+    assert MonitoringParams(D=1.0e308).domain_radius < math.inf
+
+
+def test_colony_robots_must_fit_the_colony_disk():
+    # disks of diameter min_separation in the colony disk grown by half of
+    # it: at most (2 R_i / min_separation + 1)^2, 121 at the defaults,
+    # checked when the config is built rather than by the placement draws
+    with pytest.raises(ScenarioError, match=r"^cannot place n_robots=122 colony\.min_separation=1 "
+                                            r"apart inside colony\.R_i=5: .* = 121 fit$"):
+        _with(colony_default(), n_robots=122)
+    assert _with(colony_default(), n_robots=121).n_robots == 121
+    # the benchmark's crowd: 96 robots 0.6 m apart, under a bound of 312
+    assert _with(colony_default(), n_robots=96, colony__min_separation=0.6).n_robots == 96
+    with pytest.raises(ScenarioError, match=r"= 312\.111 fit$"):
+        _with(colony_default(), n_robots=313, colony__min_separation=0.6)
