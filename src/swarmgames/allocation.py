@@ -25,15 +25,15 @@ minimisers of the convex potential
 over x >= 0 with sum_k x_ik <= n_0^i: the optimality conditions of that
 problem are the equilibrium conditions.  `allocate` first tries a
 closed-form warm start.  When that fails the KKT test it searches for
-the equilibrium support, then finishes with one solve of the
-equilibrium equations on that support, or with a crossover where ties
-leave that solve singular.  A busy group (one whose idle action is out
-of the support) with a single supported task puts its whole mass there.
-Each other cell of a busy group joins it to a task, and with the tasks
-that idle-mode groups pin as one root, those cells form a graph.  On a
-forest the equations are triangular and are solved by substitution;
-where the cells close a cycle, mass moved around it changes no row sum
-or load, and the solve is singular.  There are two searches and one
+the equilibrium support; every round ends in one solve of the
+equilibrium equations on a support pattern.  A busy group (one whose
+idle action is out of the support) with a single supported task puts its
+whole mass there.  Each other cell of a busy group joins it to a task,
+and with the tasks that idle-mode groups pin as one root, those cells
+form a graph.  On a forest the equations are triangular and are solved
+by substitution.  Mass moved around a cycle changes no row sum or load,
+so a solve holds each cell that closes one at the current point and
+reports the slope of Phi around it.  There are two searches and one
 finish:
 
 - Principal pivoting on the (support, busy) pattern (Cottle, Pang &
@@ -46,9 +46,9 @@ finish:
   couple through M loads.  Once its iterates are close to the optimum,
   each new pattern they show is solved at once.
 - A crossover from the last interior iterate where no such solve
-  certifies, as at a tied optimum: a primal active-set method on Phi
-  that moves one constraint per step and, where Phi is flat along a
-  cycle of the support, steps along it until a cell empties.
+  certifies: a primal active-set method on Phi that steps toward each
+  pattern's solution, or downhill around a cycle where Phi slopes, until
+  a bound blocks, and moves one constraint per step.
 
 Most rounds a simulation meets are small (the monitoring scenario's
 4 groups x 5 tasks, the colony's 1 x 2), and most of those end at the
@@ -109,7 +109,6 @@ _MAX_INTERIOR = 50        # interior-point iterations before the crossover takes
 _MAX_CROSSOVER = 200      # crossover steps before allocate gives up
 _MU_POLISH = 1e-6         # mean complementarity, per idle robot, below which each new pattern
                           # the interior iterates show is polished once
-_MU_TIE = 1e-10           # ... below which a pattern whose polish was singular ends the search
 _MU_FLOOR = 1e-15         # ... at which the interior method stops
 
 
@@ -118,7 +117,8 @@ class AllocationError(RuntimeError):
 
 
 class SingularSystem(ArithmeticError):
-    """The busy groups and tasks of a support pattern close a cycle."""
+    """The busy groups and tasks of a support pattern close a cycle (only
+    the pivots' solves, made without a current point, can raise it)."""
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,7 @@ def _merge_groups(costs: np.ndarray) -> tuple[list[int], list[int]]:
     return merged_idx, first
 
 
-def _solve_modes(gamma, s, c, n0, ntask, sup, busy):
+def _solve_modes(gamma, s, c, n0, ntask, sup, busy, p=None):
     """Solve the equilibrium equations for fixed supports and modes.
 
     A busy group with one supported task puts probability 1 on it, so its
@@ -348,14 +348,21 @@ def _solve_modes(gamma, s, c, n0, ntask, sup, busy):
       task what the busy groups leave of its load, shared by its
       idle-mode groups with equal probabilities.
 
-    Where the busy groups and their tasks close a cycle, mass moved
-    around it keeps every row sum and load, so the equations leave it
-    free: that raises SingularSystem, the only singular case.  Entries
-    can be negative on a support that holds no equilibrium; the caller
-    tests the result.  Returns the (g, M) task-probability matrix.
+    A cell closes a cycle where its task and busy group are both reached
+    already, or where it is an idle-mode group's on a pinned task after
+    the task's first (through the root).  Mass moved around a cycle keeps
+    every busy row sum and load, so the equations leave it free: that
+    raises SingularSystem, unless a current point p, (g, M)
+    probabilities, is given.  Then each such cell is held at p, its load
+    and row mass moved to the right-hand side before the leaves peel,
+    and the call returns the (g, M) probabilities with a dict of each
+    held cell's reduced cost r = w_ik - q_k - v_i (v_i = 0 in idle
+    mode), by which Phi falls per robot of group i moved into the cell
+    around its cycle.  Entries can be negative on a support that holds
+    no equilibrium; the caller tests the result.
     """
     g, m = c.shape
-    if not busy.any():
+    if p is None and not busy.any():
         # Pinned tasks are independent; no linear system needed.
         target = gamma * (1.0 - s) - ntask
         pool = (sup * n0[:, None]).sum(axis=0)
@@ -392,23 +399,33 @@ def _solve_modes(gamma, s, c, n0, ntask, sup, busy):
     price = {k: 1.0 - s_[k] - c.item(ids[0], k) for k, ids in idles.items()}
     value = {}  # coupled busy group: its utility on each of its tasks
     edges = []  # tree edges (group, task, whether the task hangs below), parents first
+    held = {}   # cycle cell (group, task): its reduced cost
+
+    def hold(i, k):
+        if p is None:
+            raise SingularSystem("the busy groups and tasks close a cycle")
+        held[i, k] = 1.0 - s_[k] - c.item(i, k) - price[k] - value.get(i, 0.0)
+
+    for k, ids in idles.items():  # with p, each pinned task keeps one idle-mode group
+        while p is not None and len(ids) > 1:
+            hold(ids.pop(), k)
 
     def spread(stack):
         """Value the groups and price the tasks the priced tasks on the
-        stack reach, each task with the group it was reached from.  A
-        task reached a second time closes a cycle (a group reached twice
-        then reaches the task it was first reached from)."""
+        stack reach, each task with the group it was reached from; a
+        group other than its parent valued already closes a cycle (the
+        priced tasks a group reaches are still on the stack)."""
         while stack:
             k, parent = stack.pop()
             for i in groups_on[k]:
-                if i == parent:
+                if i in value:
+                    if i != parent:
+                        hold(i, k)
                     continue
                 value[i] = 1.0 - s_[k] - c.item(i, k) - price[k]
                 edges.append((i, k, False))
                 for j in tasks_of[i]:
-                    if j != k:
-                        if j in price:
-                            raise SingularSystem("the busy groups and tasks close a cycle")
+                    if j != k and j not in price:
                         price[j] = 1.0 - s_[j] - c.item(i, j) - value[i]
                         edges.append((i, j, True))
                         stack.append((j, i))
@@ -431,22 +448,29 @@ def _solve_modes(gamma, s, c, n0, ntask, sup, busy):
 
     rest = {k: gamma_[k] * q - ntask_[k] for k, q in price.items()}  # load not yet placed
     left = dict.fromkeys(value, 1.0)                                    # row mass not yet placed
+    for i, k in held:
+        x = p.item(i, k)
+        rest[k] -= n0_[i] * x
+        if i in left:
+            left[i] -= x
+        flat.append(i * m + k)
+        vals.append(x)
     for i, k, below in reversed(edges):
         if below:
-            p = rest[k] / n0_[i]
-            left[i] -= p
+            x = rest[k] / n0_[i]
+            left[i] -= x
         else:
-            p = left[i]
-            rest[k] -= n0_[i] * p
+            x = left[i]
+            rest[k] -= n0_[i] * x
         flat.append(i * m + k)
-        vals.append(p)
+        vals.append(x)
     for k, ids in idles.items():
-        p = rest[k] / sum(n0_[i] for i in ids)
+        x = rest[k] / sum(n0_[i] for i in ids)
         flat += [i * m + k for i in ids]
-        vals += [p] * len(ids)
+        vals += [x] * len(ids)
     probs = np.zeros((g, m))
     probs.put(flat, vals)
-    return probs
+    return probs if p is None else (probs, held)
 
 
 def _certified(w, gamma, n0, ntask, probs):
@@ -553,14 +577,13 @@ def _interior(gamma, s, c, n0, ntask):
     Once the mean complementarity mu is below _MU_POLISH per idle robot,
     each new pattern x > z (support, and busy = idle slack below its
     dual) is polished once with _solve_modes, on the iteration it first
-    appears.  A singular polish (its support closes a cycle: at a tied
-    optimum, or on a pattern the iterates only pass through) marks the
-    pattern and the iterations go on; a marked pattern met once mu is
-    below _MU_TIE ends the search.  A round the polishes do not certify
-    (such a marked pattern, mu below _MU_FLOOR, or _MAX_INTERIOR
-    iterations) ends in _crossover from the last iterate.  Returns the
-    (g, M) task probabilities and the number of interior iterations plus
-    crossover steps.
+    appears.  Each cell of the pattern that closes a cycle (at a tied
+    optimum, or on a pattern the iterates only pass through) is held at
+    the iterate x / n0, so no polish is singular.  A round the polishes
+    do not certify (mu below _MU_FLOOR, or _MAX_INTERIOR iterations)
+    ends in _crossover from the last iterate.  Returns the (g, M) task
+    probabilities and the number of interior iterations plus crossover
+    steps.
     """
     live = n0 > 0
     w_all = 1.0 - s - c
@@ -575,9 +598,10 @@ def _interior(gamma, s, c, n0, ntask):
     z[:, 1:] = -y[:, None] - util  # dual feasible: every z >= 1
     sup = np.zeros(c.shape, dtype=bool)
     busy = np.zeros(n0.shape[0], dtype=bool)
+    point = np.zeros(c.shape)
     mean = cap.mean()
-    mu_polish, mu_tie, mu_floor = _MU_POLISH * mean, _MU_TIE * mean, _MU_FLOOR * mean
-    polished, singular = set(), set()
+    mu_polish, mu_floor = _MU_POLISH * mean, _MU_FLOOR * mean
+    polished = set()
     for it in range(1, _MAX_INTERIOR + 1):
         xz = x * z
         mu = float(xz.sum()) / size
@@ -588,15 +612,10 @@ def _interior(gamma, s, c, n0, ntask):
                 polished.add(pattern)
                 sup[live] = above[:, 1:]
                 busy[live] = ~above[:, 0]
-                try:
-                    probs = _solve_modes(gamma, s, c, n0, ntask, sup, busy)
-                except SingularSystem:
-                    singular.add(pattern)
-                else:
-                    if _certified(w_all, gamma, n0, ntask, probs):
-                        return probs, it
-            if pattern in singular and mu < mu_tie:
-                break  # ties leave the masses free
+                point[live] = x[:, 1:] / cap[:, None]
+                probs = _solve_modes(gamma, s, c, n0, ntask, sup, busy, point)[0]
+                if _certified(w_all, gamma, n0, ntask, probs):
+                    return probs, it
         if mu < mu_floor:
             break
         # minus the dual and primal residuals: zero up to rounding, as the
@@ -634,24 +653,19 @@ def _interior(gamma, s, c, n0, ntask):
 
 def _crossover(gamma, s, c, n0, ntask, x, z):
     """Primal active-set method on min Phi from an interior iterate
-    (Megiddo 1991; Nocedal & Wright, Numerical Optimization, 2nd ed.,
-    16.5).
+    (Megiddo 1991), on the support forest as in network simplex.
 
-    The unknowns are the probabilities p = x / n0 of the free cells,
-    first the support x > z; the busy rows, first those whose idle slack
-    is below its dual, sum to 1, and a busy row with one free cell holds
-    it at 1.  Each step solves the KKT system of Phi on the other free
-    cells, [[H, R^T], [R, 0]] [d; lam] = [n0 u; 0], where H couples two
-    cells on task k by n0_i n0_j / gamma_k and R sums the busy rows, by
-    the pseudo-inverse from one eigendecomposition.  Phi is only
-    semidefinite: where ties make it flat along a cycle of the support
-    the system is inconsistent, and its residual is a descent direction
-    of zero curvature.  The step runs along the Newton step d up to
-    length 1, or along the residual without a cap, until a cell
-    empties (it leaves the support) or an idle row fills (it turns
-    busy).  At the minimiser on the free cells the round ends if the KKT
-    test passes; else the largest violation is released: a cell outside
-    the support that earns more than its row's value (its free cells'
+    The point p = x / n0 starts on the support x > z, with busy rows
+    (idle slack below its dual) summing to 1.  Each step solves the
+    pattern with _solve_modes at p.  If every held cell's reduced cost
+    is within _CERT_TOL of 0, the step runs toward that solution, up to
+    length 1.  Else Phi falls linearly around the cycle of the largest
+    |r|, and the step runs without a cap along the difference a second
+    solve makes with that cell bumped by sign(r).  Either step stops
+    where a cell empties (it leaves the support) or an idle row fills
+    (it turns busy).  At the solution the round ends if the KKT test
+    passes; else the largest violation is released: a cell outside the
+    support that earns more than its row's value (its best supported
     utility if busy, else 0), or a busy row valued below 0.  Returns the
     (g, M) task probabilities and the number of steps.
     """
@@ -662,51 +676,37 @@ def _crossover(gamma, s, c, n0, ntask, x, z):
     busy = np.zeros(g, dtype=bool)
     sup[live] = x[:, 1:] > z[:, 1:]
     busy[live] = x[:, 0] < z[:, 0]
-    busy &= sup.any(axis=1)  # a busy row keeps a free cell: R d = 0 never empties its last
+    busy &= sup.any(axis=1)  # a busy row needs a cell, and its last never empties
     p = np.zeros(c.shape)
     p[live] = x[:, 1:] / n0[live, None]
     p[~sup] = 0.0
+    mass = p.sum(axis=1)  # rows off by rounding: busy ones to 1, the others to at most 1
+    p /= np.where(busy, mass, np.maximum(mass, 1.0))[:, None]
     for step in range(1, _MAX_CROSSOVER + 1):
-        p[busy] /= p[busy].sum(axis=1, keepdims=True)  # keeps long flat steps feasible
-        # a busy row on one cell holds it at 1: a constant load, as in _solve_modes
-        rows, tasks = sup.nonzero()
-        lone = busy & (np.bincount(rows, minlength=g) == 1)
-        rows, tasks = rows[~lone[rows]], tasks[~lone[rows]]
-        on = np.flatnonzero(busy & ~lone)
-        f, scaled = rows.size, n0[rows]
-        kkt = np.zeros((f + on.size, f + on.size))
-        kkt[:f, :f] = np.where(tasks[:, None] == tasks, np.outer(scaled, scaled / gamma[tasks]), 0.0)
-        kkt[f:, :f] = rows == on[:, None]
-        kkt[:f, f:] = kkt[f:, :f].T
-        util = w - (ntask + n0 @ p) / gamma
-        rhs = np.zeros(f + on.size)
-        rhs[:f] = scaled * util[rows, tasks]
-        # not lstsq: its SVD driver can fail to converge on these systems
-        vals, vecs = np.linalg.eigh(kkt)
-        keep = np.abs(vals) > vals.size * np.finfo(float).eps * np.abs(vals).max(initial=0.0)
-        coef = rhs @ vecs
-        resid = vecs[:f, ~keep] @ coef[~keep]
-        flat = bool(np.any(np.abs(resid) > EPS_ZERO * scaled))
-        if flat:
-            d, reach = resid, np.inf  # Phi falls linearly until a bound blocks
+        probs, held = _solve_modes(gamma, s, c, n0, ntask, sup, busy, p)
+        cell, r = max(held.items(), key=lambda item: abs(item[1]), default=(None, 0.0))
+        if abs(r) <= _CERT_TOL:
+            d, reach = probs - p, 1.0
         else:
-            d, reach = vecs[:f, keep] @ (coef[keep] / vals[keep]), 1.0
+            bumped = p.copy()
+            bumped[cell] += math.copysign(1.0, r)
+            d, reach = _solve_modes(gamma, s, c, n0, ntask, sup, busy, bumped)[0] - probs, np.inf
         # ratio test: the step's own end, then each emptying cell, then each filling idle row
-        old, growth = p[rows, tasks], np.bincount(rows, d, g)
+        growth = d.sum(axis=1)
         limits = np.concatenate([
             [reach],
-            np.divide(old, -d, out=np.full(f, np.inf), where=d < 0.0),
+            np.divide(p, -d, out=np.full(c.shape, np.inf), where=sup & (d < 0.0)).ravel(),
             np.divide(np.maximum(1.0 - p.sum(axis=1), 0.0), growth, out=np.full(g, np.inf),
                       where=~busy & (growth > 0.0)),
         ])
         j = int(limits.argmin())
-        p[rows, tasks] = np.maximum(old + limits[j] * d, 0.0)
-        if 0 < j <= f:
-            sup[rows[j - 1], tasks[j - 1]] = False
-            p[rows[j - 1], tasks[j - 1]] = 0.0
-        elif j > f:
-            busy[j - f - 1] = True
-        elif not flat:
+        p = np.maximum(p + limits[j] * d, 0.0)
+        if 0 < j <= p.size:
+            sup.flat[j - 1] = False
+            p.flat[j - 1] = 0.0
+        elif j > p.size:
+            busy[j - p.size - 1] = True
+        elif reach == 1.0:
             if _certified(w, gamma, n0, ntask, p):
                 return p, step
             util = w - (ntask + n0 @ p) / gamma
@@ -832,13 +832,13 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
     3. With more cells, or once the pivots give up, an interior-point
        method runs on Phi; once its mean complementarity is below
        _MU_POLISH per idle robot, each new pattern its iterates show is
-       solved once, and the first solution that passes the test ends
-       the round (path "interior").  Where
-       none does (a pattern whose solve was singular recurs below
-       _MU_TIE, complementarity reaches _MU_FLOOR, or _MAX_INTERIOR
-       iterations run out), a crossover from the last iterate finishes
-       the round: an active-set method that moves one constraint per
-       step until its point passes the test.
+       solved once, any cell that closes a cycle held at the iterate,
+       and the first solution that passes the test ends the round (path
+       "interior").  Where none does (complementarity reaches
+       _MU_FLOOR, or _MAX_INTERIOR iterations run out), a crossover
+       from the last iterate finishes the round: an active-set method
+       that moves one constraint per step until its point passes the
+       test.
 
     Rounds of at most _SMALL_CELLS cells run step 1, its KKT test and
     the row assembly in plain floats, bit-identical to the array code;

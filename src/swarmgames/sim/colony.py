@@ -140,6 +140,13 @@ class ColonyDynamics:
         rng_sources = random.Random(f"{seed}/sources")
         self.rng_walk = {i: random.Random(f"{seed}/walk/{i}") for i in range(n)}
         points = []
+        # each grid cell lists the placed points in the 3 x 3 cells around
+        # it: a point closer than min_separation is among them, as the
+        # pitch is at least that (larger only where cell indices would
+        # pass 2**20)
+        pitch = max(p.min_separation, p.R_i / 2 ** 20)
+        near = {}
+        sep = p.min_separation * p.min_separation
         attempts = 0
         while len(points) < n:
             attempts += 1
@@ -150,9 +157,12 @@ class ColonyDynamics:
             radius = p.R_i * math.sqrt(rng_place.random())
             theta = rng_place.uniform(0.0, 2.0 * math.pi)
             x, y = radius * math.cos(theta), radius * math.sin(theta)
-            sep = p.min_separation * p.min_separation
-            if all((x - qx) ** 2 + (y - qy) ** 2 >= sep for qx, qy in points):
+            cx, cy = math.floor(x / pitch), math.floor(y / pitch)
+            if all((x - qx) ** 2 + (y - qy) ** 2 >= sep for qx, qy in near.get((cx, cy), ())):
                 points.append((x, y))
+                for dx in (-1, 0, 1):
+                    for dy in (-1, 0, 1):
+                        near.setdefault((cx + dx, cy + dy), []).append((x, y))
         world.robots = [ColonyRobot(id=i, x=x, y=y)
                         for i, (x, y) in enumerate(points)]
         span = p.R_o * p.R_o - p.R_i * p.R_i

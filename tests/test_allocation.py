@@ -707,6 +707,20 @@ def small_rounds(draw):
     return inst
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(instances(), small_rounds()))
+@example(MONITORING_CYCLE)
+def test_warm_rounds_are_those_the_closed_form_fits(inst):
+    # The paper's regime: every task to its cheapest group(s) at their
+    # zero-utility level leaves no better action, so that closed form is
+    # the equilibrium exactly when it overfills no merged group with idle
+    # robots.
+    c, n0, ntask = merged_round(inst)
+    warm = allocation._warm_start(inst.gamma, inst.signals, c, n0, ntask)
+    fits = bool(np.all(warm[n0 > 0].sum(axis=1) <= 1.0 + EPS_ZERO))
+    assert (allocate(inst, check=False).path == "warm") == fits
+
+
 @settings(max_examples=400, deadline=None)
 @given(small_rounds())
 @example(MONITORING_CYCLE)
@@ -871,7 +885,7 @@ def test_interior_rounds_match_the_sweeps(inst):
     assert np.all(np.abs(loads - sweep_loads(inst)) <= 2 * allocation._CERT_TOL * inst.gamma)
 
 
-def solve_modes_dense(gamma, s, c, n0, ntask, sup, busy):
+def solve_modes_dense(gamma, s, c, n0, ntask, sup, busy, held=(), p=None):
     """Reference for allocation._solve_modes: the equilibrium equations
     on the whole support, one unknown per supported cell, busy groups on
     a single task included, in one dense solve.
@@ -879,50 +893,61 @@ def solve_modes_dense(gamma, s, c, n0, ntask, sup, busy):
     Per supported task with idle-mode groups: its expected head count at
     the first such group's zero-utility level, and equal probabilities
     for the others.  Per busy group: equal utility on every supported
-    task, and a row summing to 1.
+    task, and a row summing to 1.  The `held` cells are no unknowns:
+    they stay at p, their loads and row masses go on the right-hand side,
+    and their own equations (equal probabilities, or equal utility) are
+    dropped.
     """
     g, m = c.shape
-    cells = list(zip(*np.nonzero(sup.T)))  # (task, group), task by task
+    cells = [(k, i) for k, i in zip(*np.nonzero(sup.T)) if (i, k) not in held]  # task by task
     column = {cell: pos for pos, cell in enumerate(cells)}
     rows, rhs = [], []
 
     def load(k, scale, row):
+        """Add task k's load, times scale, to row; return its held part."""
+        fixed = 0.0
         for i in range(g):
             if (k, i) in column:
                 row[column[k, i]] += scale * n0[i]
+            elif (i, k) in held:
+                fixed += scale * n0[i] * p[i, k]
+        return fixed
 
     for k in range(m):
-        idles = [i for i in range(g) if sup[i, k] and not busy[i]]
+        idles = [i for i in range(g) if sup[i, k] and not busy[i] and (i, k) not in held]
         if not idles:
             continue
         row = np.zeros(len(cells))
-        load(k, 1.0, row)
+        fixed = load(k, 1.0, row)
         rows.append(row)
-        rhs.append(gamma[k] * (1.0 - s[k] - c[idles[0], k]) - ntask[k])
+        rhs.append(gamma[k] * (1.0 - s[k] - c[idles[0], k]) - ntask[k] - fixed)
         for i in idles[1:]:
             row = np.zeros(len(cells))
             row[column[k, idles[0]]], row[column[k, i]] = 1.0, -1.0
             rows.append(row)
             rhs.append(0.0)
     for i in np.flatnonzero(busy):
-        tasks = np.flatnonzero(sup[i])
-        if not tasks.size:
+        tasks = [k for k in np.flatnonzero(sup[i]) if (k, i) in column]
+        if not tasks:
             continue
         j = tasks[0]
         for k in tasks[1:]:
             row = np.zeros(len(cells))
-            load(j, 1.0 / gamma[j], row)
-            load(k, -1.0 / gamma[k], row)
+            fixed = load(j, 1.0 / gamma[j], row) + load(k, -1.0 / gamma[k], row)
             rows.append(row)
-            rhs.append(s[k] + c[i, k] - s[j] - c[i, j] + ntask[k] / gamma[k] - ntask[j] / gamma[j])
+            rhs.append(s[k] + c[i, k] - s[j] - c[i, j] + ntask[k] / gamma[k] - ntask[j] / gamma[j]
+                       - fixed)
         row = np.zeros(len(cells))
         for k in tasks:
             row[column[k, i]] = 1.0
         rows.append(row)
-        rhs.append(1.0)
+        rhs.append(1.0 - sum(p[i, k] for k in np.flatnonzero(sup[i]) if (i, k) in held))
     probs = np.zeros((g, m))
+    for i, k in held:
+        probs[i, k] = p[i, k]
     if cells:
-        probs.T[sup.T] = dense_solve(np.array(rows), np.array(rhs))
+        ks, gs = zip(*cells)
+        probs[gs, ks] = dense_solve(np.array(rows), np.array(rhs))
     return probs
 
 
@@ -937,25 +962,31 @@ def dense_solve(a, b):
 def assert_patterns_match_the_dense_reference(inst):
     """Run allocate on inst and check every pattern it solves, warm start
     included, against solve_modes_dense: the same singular verdicts, and
-    solutions within 1e-12.  Returns allocate's result."""
+    solutions within 1e-12, those of calls at a current point with the
+    cells _solve_modes held at it.  Returns allocate's result."""
     systems = []
     solve = allocation._solve_modes
 
     def recording(*args):
-        systems.append([np.array(a) for a in args])  # the callers reuse sup and busy
+        systems.append([np.array(a) for a in args])  # the callers reuse sup, busy and the point
         return solve(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(allocation, "_solve_modes", recording)
         result = allocate(inst)
     for system in systems:
-        try:
-            reference = solve_modes_dense(*system)
-        except allocation.SingularSystem:
-            with pytest.raises(allocation.SingularSystem):
-                solve(*system)
+        if len(system) == 8:
+            probs, held = solve(*system)
+            reference = solve_modes_dense(*system[:7], held, system[7])
         else:
-            assert np.max(np.abs(solve(*system) - reference), initial=0.0) <= 1e-12
+            try:
+                reference = solve_modes_dense(*system)
+            except allocation.SingularSystem:
+                with pytest.raises(allocation.SingularSystem):
+                    solve(*system)
+                continue
+            probs = solve(*system)
+        assert np.max(np.abs(probs - reference), initial=0.0) <= 1e-12
     return result
 
 
@@ -990,9 +1021,12 @@ def wide_round(seed, g, m, pooled, rounded):
     return ProblemInstance(gamma, signals, costs, counts)
 
 
-@pytest.mark.parametrize("rounded", [False, True])
-@pytest.mark.parametrize("g, m, pooled", [(256, 5, False), (1024, 5, False), (64, 32, False),
-                                          (256, 16, True)])
+@pytest.mark.parametrize("g, m, pooled, rounded", [
+    *((g, m, pooled, rounded) for g, m, pooled in [(256, 5, False), (1024, 5, False),
+                                                   (64, 32, False), (256, 16, True)]
+      for rounded in (False, True)),
+    (512, 16, False, True), (256, 32, False, True),
+])
 def test_rounds_beyond_the_instance_caps_certify(g, m, pooled, rounded):
     for seed in range(3):
         result = assert_patterns_match_the_dense_reference(wide_round(seed, g, m, pooled, rounded))
@@ -1015,6 +1049,62 @@ def test_a_support_cycle_is_singular_without_a_solve():
             solve_modes_dense(gamma, s, c, n0, ntask, sup, busy)
         with pytest.raises(allocation.SingularSystem):
             allocation._solve_modes(gamma, s, c, n0, ntask, sup, busy)
+
+
+@st.composite
+def held_cases(draw):
+    """A rounded round from `instances` or `small_rounds`, a random
+    (support, busy) pattern on its groups with idle robots and a random
+    feasible point on that support: busy rows sum to 1, idle-mode rows to
+    at most 1."""
+    inst = draw(st.one_of(instances(max_cells=256), small_rounds()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g, m = inst.n_groups, inst.n_tasks
+    n0 = inst.idle_counts.astype(float)
+    sup = (rng.uniform(size=(g, m)) < rng.uniform(0.1, 0.6)) & (n0 > 0)[:, None]
+    busy = (rng.uniform(size=g) < 0.5) & sup.any(axis=1)
+    p = np.where(sup, rng.uniform(0.1, 1.0, (g, m)), 0.0)
+    p /= np.where(sup.any(axis=1), p.sum(axis=1), 1.0)[:, None]
+    p[~busy] *= rng.uniform(0.0, 1.0, (g, 1))[~busy]
+    round_ = (np.round(inst.gamma), np.round(inst.signals, 1), np.round(inst.costs, 1), n0,
+              inst.task_totals.astype(float))
+    return round_, sup, busy, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(held_cases())
+def test_held_cells_solve_like_the_dense_reference(case):
+    # A call at a current point holds each cell that closes a cycle there
+    # and solves the rest; the held set breaks every cycle, so the dense
+    # reference with those cells on its right-hand side is regular.  A
+    # call without a point shares a pinned task among its idle-mode
+    # groups, and is singular where a busy group's cell is held.
+    (gamma, s, c, n0, ntask), sup, busy, p = case
+    probs, held = allocation._solve_modes(gamma, s, c, n0, ntask, sup, busy, p)
+    cycle = any(busy[i] for i, _ in held)
+    try:
+        allocation._solve_modes(gamma, s, c, n0, ntask, sup, busy)
+    except allocation.SingularSystem:
+        assert cycle
+    else:
+        assert not cycle
+    reference = solve_modes_dense(gamma, s, c, n0, ntask, sup, busy, held, p)
+    assert np.max(np.abs(probs - reference), initial=0.0) <= 1e-12
+    util = 1.0 - s - c - (ntask + n0 @ probs) / gamma
+    for (i, k), r in held.items():
+        assert probs[i, k] == p[i, k]
+        # a busy row's value is its utility on any cell it does not hold
+        free = [j for j in np.flatnonzero(sup[i]) if (i, j) not in held]
+        value = util[i, free[0]] if busy[i] else 0.0
+        assert abs(r - (util[i, k] - value)) <= 1e-12
+        # moving mass into the cell around its cycle keeps every busy row
+        # sum and every load
+        bumped = p.copy()
+        bumped[i, k] += 1.0
+        d = allocation._solve_modes(gamma, s, c, n0, ntask, sup, busy, bumped)[0] - probs
+        assert d[i, k] == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(d[busy].sum(axis=1)), initial=0.0) <= 1e-12
+        assert np.max(np.abs(n0 @ d)) <= 1e-12
 
 
 @st.composite
@@ -1100,22 +1190,25 @@ def rounded_singleton_round(seed, g, m):
 
 def test_singular_early_polish_lets_the_iterations_go_on():
     # At mu of about 2e-7 per robot this round's pattern closes a cycle of
-    # busy groups and tasks, so its polish is singular.  That only marks the
-    # pattern; the next new pattern certifies.
-    singular = []
+    # busy groups and tasks, so its polish holds a cell at the iterate and
+    # fails the KKT test.  The iterations go on; the next new pattern
+    # certifies.
+    held = []
     solve = allocation._solve_modes
 
     def recording(*args):
-        try:
-            return solve(*args)
-        except allocation.SingularSystem:
-            singular.append(args)
-            raise
+        out = solve(*args)
+        if len(args) == 8 and any(args[6][i] for i, _ in out[1]):  # a busy cell held
+            held.append(out[0])
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(allocation, "_solve_modes", recording)
-        result = allocate(rounded_singleton_round(3983624044, 14, 15))
-    assert len(singular) == 1
+        inst = rounded_singleton_round(3983624044, 14, 15)
+        result = allocate(inst)
+    assert len(held) == 1
+    c, n0, ntask = merged_round(inst)
+    assert not allocation._certified(1.0 - inst.signals - c, inst.gamma, n0, ntask, held[0])
     assert result.report.valid
     assert result.path == "interior" and result.iterations <= 9
 
@@ -1168,8 +1261,9 @@ def recording_crossover(mp):
 
 
 def test_rounded_tie_rounds_certify():
-    # Ties leave the masses free, so the polish is singular on many of
-    # these rounds and the crossover finishes them.  Draw 290 is one.
+    # Ties leave the masses free, so the polish holds cells on many of
+    # these rounds, and the crossover finishes the rounds where that
+    # fails the KKT test.  Draw 290 is one.
     with pytest.MonkeyPatch.context() as mp:
         steps = recording_crossover(mp)
         for n, inst in enumerate(rounded_tie_rounds(300)):
@@ -1179,15 +1273,17 @@ def test_rounded_tie_rounds_certify():
             result = allocate(inst)  # raises AllocationError at the step cap
             assert result.report.valid, n
             if n == 290:
-                assert steps == [15]
+                assert steps == [7]
+                assert result.iterations == 26
 
 
-@pytest.mark.parametrize("index", [207, 511])
-def test_tied_gate_rounds_end_in_the_crossover(index):
+@pytest.mark.parametrize("index, iterations", [pytest.param(207, 13, id="207"),
+                                               pytest.param(511, 15, id="511")])
+def test_tied_gate_rounds_certify_at_a_polish(index, iterations):
     # Draws of the g = 64 gate set (default_rng(7); per draw M =
     # integers(4, 17), then a singleton round) whose interior iterates
-    # reach a singular pattern: the crossover takes a zero-curvature step
-    # around its cycle and certifies.
+    # reach a pattern with a cycle: a polish that holds its cell at the
+    # iterate certifies, with no crossover.
     rng = np.random.default_rng(7)
     for _ in range(index + 1):
         inst = singleton_round(rng, 64, int(rng.integers(4, 17)))
@@ -1195,8 +1291,8 @@ def test_tied_gate_rounds_end_in_the_crossover(index):
         steps = recording_crossover(mp)
         result = allocate(inst)
     assert result.report.valid
-    assert len(steps) == 1
-    assert result.path == "interior" and result.iterations <= 16
+    assert steps == []
+    assert (result.path, result.iterations) == ("interior", iterations)
 
 
 @settings(max_examples=100, deadline=None)

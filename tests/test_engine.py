@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from swarmgames.scenarios import Event, colony_default, monitoring_default
+from swarmgames.scenarios import Event, ScenarioError, colony_default, monitoring_default
 from swarmgames.sim import DEADLOCKED, build_world, run, step
 from swarmgames.sim.colony import (
     RETURN_HOME,
@@ -111,6 +111,44 @@ def test_build_world_places_robots_in_colony_with_separation():
     for i, a in enumerate(world.robots):
         for b in world.robots[i + 1:]:
             assert math.hypot(a.x - b.x, a.y - b.y) >= cfg.colony.min_separation - 1e-9
+
+
+def all_pairs_placement(cfg, seed):
+    """The colony's rejection draws with each candidate tested against
+    every placed point; None where 100 000 draws do not place them all."""
+    p, rng = cfg.colony, random.Random(f"{seed}/placement")
+    points = []
+    for _ in range(100_000):
+        radius = p.R_i * math.sqrt(rng.random())
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        x, y = radius * math.cos(theta), radius * math.sin(theta)
+        if all((x - qx) ** 2 + (y - qy) ** 2 >= p.min_separation ** 2 for qx, qy in points):
+            points.append((x, y))
+            if len(points) == cfg.n_robots:
+                return points
+    return None
+
+
+@pytest.mark.parametrize("n_robots, min_separation, seeds", [
+    (12, 1.0, range(4)), (48, 1.0, range(4)), (64, 1.0, [0, 3]), (96, 0.6, [0, 1]),
+    (20, 1e-320, [0]),
+])
+def test_grid_placement_matches_the_all_pairs_test(n_robots, min_separation, seeds):
+    # The grid only skips points too far away to reject a candidate, so
+    # every draw is accepted or rejected as the all-pairs test does; at
+    # 64 robots seed 0 cannot be placed and seed 3 can.  A separation of
+    # 1e-320 as the pitch would overflow the cell indices.
+    base = colony_default()
+    cfg = dataclasses.replace(base, n_robots=n_robots,
+                              colony=dataclasses.replace(base.colony,
+                                                         min_separation=min_separation))
+    for seed in seeds:
+        want = all_pairs_placement(cfg, seed)
+        if want is None:
+            with pytest.raises(ScenarioError, match=f"seed {seed}: cannot place"):
+                build_world(cfg, seed)
+        else:
+            assert [(r.x, r.y) for r in build_world(cfg, seed).robots] == want
 
 
 def test_build_world_scatters_sources_over_annulus():
