@@ -67,9 +67,12 @@ pivots, and a larger one, or one the pivots give up on, the interior
 method.
 
 `verify_equilibrium` checks any candidate strategy against the
-definition: a vectorised re-computation of the loads and utilities,
-independent of the solver, that needs one load vector and one
-(g, M+1) utility matrix.
+definition, independently of the solver.  It first checks that the rows
+are distributions: one min and one max for the range, one reduction for
+the row sums, and the rows of groups without idle robots only where
+there are any.  It then recomputes one load vector and one (g, M+1)
+utility matrix and takes masked row reductions over it: a fixed number
+of numpy calls whatever g and M.
 """
 
 from __future__ import annotations
@@ -219,24 +222,6 @@ class MixedStrategy:
         probs = np.atleast_2d(np.asarray(self.probs, dtype=float))
         object.__setattr__(self, "probs", probs)
 
-    def validate(self, counts=None, tol: float = EPS_SUM) -> None:
-        """Raise ValueError unless every row is a distribution.
-
-        With `counts` given, rows of groups without idle robots must be
-        the degenerate idle distribution (those robots make no choice).
-        """
-        p = self.probs
-        if not np.all((p >= -EPS_ZERO) & (p <= 1.0 + EPS_ZERO)):  # NaN fails too
-            raise ValueError("probabilities outside [0, 1]")
-        err = np.max(np.abs(p.sum(axis=1) - 1.0))
-        if err > tol:
-            raise ValueError(f"row sums off by {err:.3e} (> {tol})")
-        if counts is not None:
-            busy = (np.atleast_2d(counts)[:, 0] == 0) & (np.abs(p[:, 0] - 1.0) > EPS_ZERO)
-            if busy.any():
-                raise ValueError(f"group {int(np.argmax(busy))} has no idle robots "
-                                 "but row is not idle")
-
 
 @dataclasses.dataclass(frozen=True)
 class EquilibriumReport:
@@ -301,12 +286,6 @@ def draw_action(cdf: tuple[list[float], int], u: float) -> int:
 # the potential-game solver behind allocate
 
 
-def _snap(p: np.ndarray) -> np.ndarray:
-    """Clean float dust: pull values within EPS_ZERO of 0 or 1 onto the bound."""
-    p = np.where(np.abs(p) < EPS_ZERO, 0.0, p)
-    return np.where(np.abs(p - 1.0) < EPS_ZERO, 1.0, p)
-
-
 def _merge_groups(costs: np.ndarray) -> tuple[list[int], list[int]]:
     """Pool groups with bit-identical cost vectors (they are one group).
 
@@ -363,16 +342,12 @@ def _solve_modes(gamma, s, c, n0, ntask, sup, busy, p=None):
     """
     g, m = c.shape
     if p is None and not busy.any():
-        # Pinned tasks are independent; no linear system needed.
-        target = gamma * (1.0 - s) - ntask
-        pool = (sup * n0[:, None]).sum(axis=0)
-        cmin = np.where(sup, c, np.inf).min(axis=0)
-        covered = pool > 0
-        shared = np.where(covered,
-                          (target - gamma * np.where(covered, cmin, 0.0))
-                          / np.where(covered, pool, 1.0),
-                          0.0)
-        return sup * shared[None, :]
+        # Pinned tasks are independent; no linear system needed.  A task
+        # no group supports has cmin = inf and an empty pool: its excess,
+        # -inf, is not divided and its share stays 0.
+        pool = n0 @ sup
+        excess = gamma * (1.0 - s) - ntask - gamma * np.where(sup, c, np.inf).min(axis=0)
+        return sup * np.divide(excess, pool, out=np.zeros(m), where=pool > 0)
 
     tasks, groups = sup.T.nonzero()
     # plain floats: numpy scalar arithmetic costs more than this walk
@@ -618,8 +593,10 @@ def _interior(gamma, s, c, n0, ntask):
                     return probs, it
         if mu < mu_floor:
             break
-        # minus the dual and primal residuals: zero up to rounding, as the
-        # start is feasible
+        # minus the dual and primal residuals.  The start is feasible, but
+        # each Newton step feeds the rounding of the last back in, so the
+        # rows drift (by up to 3.3e-7 on rounded draws) and _crossover
+        # rescales its start.
         rd = z.copy()
         rd[:, 0] += y
         rd[:, 1:] -= ((ntask + np.einsum("ij->j", x[:, 1:])) / gamma - w) - y[:, None]
@@ -845,7 +822,11 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
     the merge and steps 2 and 3 are shared.
 
     Groups without idle robots get degenerate idle rows.  With `check`
-    the returned strategy is certified by the independent oracle.  The
+    the returned strategy is certified by the independent oracle,
+    verify_equilibrium: a fixed set of numpy calls on (g, M+1) arrays,
+    which costs about as much as a whole warm round of a few cells and
+    under half of a warm array round.  A caller that trusts the solver
+    in a hot loop, as the simulation does, passes check=False.  The
     result's `path` says which step ended the round and `iterations`
     counts its pivots plus interior iterations plus crossover steps.
     Raises AllocationError only if the crossover reaches
@@ -864,7 +845,6 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
 def _allocate_arrays(instance: ProblemInstance) -> tuple[np.ndarray, str, int]:
     """allocate's round in array code; returns the (g, M+1) rows, the
     path and the iteration count."""
-    m, g = instance.n_tasks, instance.n_groups
     gamma, s = instance.gamma, instance.signals
     merged_idx, first = _merge_groups(instance.costs)
     c = instance.costs[first]
@@ -875,13 +855,17 @@ def _allocate_arrays(instance: ProblemInstance) -> tuple[np.ndarray, str, int]:
     if not _certified(1.0 - s - c, gamma, n0, ntask, probs_m):
         probs_m, path, iterations = _search(gamma, s, c, n0, ntask, probs_m)
 
-    probs = np.zeros((g, m + 1))
-    probs[:, 0] = 1.0
-    deciding = instance.idle_counts > 0
-    rows = _snap(probs_m[np.array(merged_idx)[deciding]])
+    # snap float dust within EPS_ZERO of 0 or 1 onto the bound
+    rows = probs_m[merged_idx]
+    rows[np.abs(rows) < EPS_ZERO] = 0.0
+    rows[np.abs(rows - 1.0) < EPS_ZERO] = 1.0
     p0 = 1.0 - rows.sum(axis=1)
-    probs[deciding, 0] = np.where(np.abs(p0) < EPS_ZERO, 0.0, p0)
-    probs[deciding, 1:] = rows
+    p0[np.abs(p0) < EPS_ZERO] = 0.0
+    probs = np.column_stack([p0, rows])
+    no_idle = instance.idle_counts == 0
+    if no_idle.any():
+        probs[no_idle] = 0.0
+        probs[no_idle, 0] = 1.0
     return probs, path, iterations
 
 
@@ -892,27 +876,42 @@ def _allocate_arrays(instance: ProblemInstance) -> tuple[np.ndarray, str, int]:
 def verify_equilibrium(instance: ProblemInstance, strategy: MixedStrategy) -> EquilibriumReport:
     """Check the equilibrium conditions directly from the definitions.
 
-    For every group with idle robots: all supported actions must share
-    one expected utility (within EPS_EQ) and no other action may beat
-    that value by more than EPS_EQ.  Groups without idle robots make no
-    decision, so their rows are only checked for well-formedness.  This
-    is a vectorised re-computation from the definitions, independent of
-    the solver: one load vector E[N_k], one (g, M+1) utility matrix with
-    the idle column at zero, and masked row reductions over it.
+    Raises ValueError unless the strategy is well formed: every entry in
+    [0, 1] within EPS_ZERO (NaN fails), every row summing to 1 within
+    EPS_SUM, and the rows of groups without idle robots, which make no
+    decision, idle within EPS_ZERO.  For every group with idle robots:
+    all supported actions must share one expected utility (within
+    EPS_EQ) and no other action may beat that value by more than EPS_EQ.
+    This is a vectorised re-computation from the definitions,
+    independent of the solver: one load vector E[N_k], one (g, M+1)
+    utility matrix with the idle column at zero, and masked row
+    reductions over it.
     """
     probs = strategy.probs
     if probs.shape != (instance.n_groups, instance.n_tasks + 1):
         raise ValueError("strategy dimensions do not match instance")
-    strategy.validate(counts=instance.counts)
-    load = instance.task_totals + instance.idle_counts @ probs[:, 1:]
+    # One min and one max; a NaN makes both comparisons false.
+    if not (probs.min() >= -EPS_ZERO and probs.max() <= 1.0 + EPS_ZERO):
+        raise ValueError("probabilities outside [0, 1]")
+    err = float(abs(probs.sum(axis=1) - 1.0).max())
+    if err > EPS_SUM:
+        raise ValueError(f"row sums off by {err:.3e} (> {EPS_SUM})")
+    idle = instance.idle_counts
+    load = instance.task_totals + idle @ probs[:, 1:]
     util = np.zeros(probs.shape)
     util[:, 1:] = (instance.gamma - load) / instance.gamma - instance.signals - instance.costs
-    deciding = instance.idle_counts > 0
-    util, supported = util[deciding], probs[deciding] > EPS_ZERO
+    deciding = idle > 0
+    if not deciding.all():
+        stuck = ~deciding & (abs(probs[:, 0] - 1.0) > EPS_ZERO)
+        if stuck.any():
+            raise ValueError(f"group {int(stuck.argmax())} has no idle robots "
+                             "but row is not idle")
+        util, probs = util[deciding], probs[deciding]
+    supported = probs > EPS_ZERO
     best = np.where(supported, util, -np.inf).max(axis=1)
     worst = np.where(supported, util, np.inf).min(axis=1)
     rival = np.where(supported, -np.inf, util).max(axis=1)
-    worst_spread = float(np.max(best - worst, initial=0.0))
-    worst_dominance = float(np.max(rival - best, initial=0.0))
+    worst_spread = float((best - worst).max(initial=0.0))
+    worst_dominance = float((rival - best).max(initial=0.0))
     valid = worst_spread <= EPS_EQ and worst_dominance <= EPS_EQ
     return EquilibriumReport(worst_spread, worst_dominance, valid)

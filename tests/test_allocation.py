@@ -420,9 +420,10 @@ def test_allocate_hetero_idle_feasible():
     assert result.report.valid
 
 
-def unique_merge_round(inst):
-    """allocate's array round as it was with the merge by np.unique on a
-    void view of the cost rows: the reference for _merge_groups."""
+def unique_merge_probs(inst):
+    """allocate's array round up to the row assembly, as it was with the
+    merge by np.unique on a void view of the cost rows: the merged
+    groups' (h, M) task probabilities and each group's merged index."""
     costs, counts = inst.costs, inst.counts
     keys = np.ascontiguousarray(costs).view(np.dtype((np.void, costs.itemsize * costs.shape[1])))
     _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
@@ -435,10 +436,21 @@ def unique_merge_round(inst):
     probs_m = allocation._warm_start(gamma, s, c, n0, ntask)
     if not allocation._certified(1.0 - s - c, gamma, n0, ntask, probs_m):
         probs_m = allocation._search(gamma, s, c, n0, ntask, probs_m)[0]
+    return probs_m, merged_idx
+
+
+def unique_merge_round(inst):
+    """allocate's array round as it was with the unique merge, and with
+    the row assembly that snapped with two np.where passes and filled
+    only the rows of groups with idle robots: the reference for
+    _merge_groups and the row assembly."""
+    probs_m, merged_idx = unique_merge_probs(inst)
     probs = np.zeros((inst.n_groups, inst.n_tasks + 1))
     probs[:, 0] = 1.0
     deciding = inst.idle_counts > 0
-    rows = allocation._snap(probs_m[merged_idx[deciding]])
+    rows = probs_m[merged_idx[deciding]]
+    rows = np.where(np.abs(rows) < EPS_ZERO, 0.0, rows)
+    rows = np.where(np.abs(rows - 1.0) < EPS_ZERO, 1.0, rows)
     p0 = 1.0 - rows.sum(axis=1)
     probs[deciding, 0] = np.where(np.abs(p0) < EPS_ZERO, 0.0, p0)
     probs[deciding, 1:] = rows
@@ -472,6 +484,53 @@ def test_merge_groups_matches_the_unique_merge(g, m, distinct):
         paths.add(result.path)
         pooled += len(allocation._merge_groups(inst.costs)[1]) < g
     assert pooled >= 20 and paths - {"warm"}
+
+
+def idle_free_draws(g, m, count):
+    """Array rounds where about a third of the groups have no idle robots,
+    some of them pooled with groups that do (so their merged row is not
+    idle); costs rounded so supports tie and some rounds miss the warm
+    start."""
+    rng = np.random.default_rng(20261020 + g)
+    for _ in range(count):
+        base = np.round(rng.uniform(0.0, 1.0, (g // 3, m)), 1)
+        costs = base[rng.integers(0, g // 3, g)]
+        counts = rng.integers(0, 3, (g, m + 1))
+        counts[:, 0] = rng.integers(1, 5, g)
+        counts[rng.uniform(size=g) < 0.35, 0] = 0
+        yield ProblemInstance(np.round(rng.uniform(10.0, 60.0, m)),
+                              np.round(rng.uniform(0.0, 1.0, m), 1), costs, counts)
+
+
+@pytest.mark.parametrize("g,m", [(9, 8), (24, 4), (40, 3)])
+def test_array_round_gives_groups_without_idle_robots_exact_idle_rows(g, m):
+    paths, pooled_with_deciding = set(), 0
+    for inst in idle_free_draws(g, m, 40):
+        assert inst.costs.size > allocation._SMALL_CELLS
+        result = allocate(inst)
+        probs = result.strategy.probs
+        assert result.report.valid
+        assert probs.tobytes() == unique_merge_round(inst).tobytes()
+        no_idle = inst.idle_counts == 0
+        assert (probs[no_idle, 0] == 1.0).all() and (probs[no_idle, 1:] == 0.0).all()
+        merged_idx = np.array(allocation._merge_groups(inst.costs)[0])
+        pooled_with_deciding += np.isin(merged_idx[no_idle], merged_idx[~no_idle]).sum()
+        paths.add(result.path)
+    assert pooled_with_deciding >= 20 and paths - {"warm"}
+
+
+@pytest.mark.parametrize("g,m,draw", [(9, 8, 162), (9, 8, 217), (24, 4, 228)])
+def test_array_round_snaps_dust_as_the_reference(g, m, draw):
+    # draws whose round leaves dust for the snap: a task probability
+    # within EPS_ZERO of 0 (162) or of 1 (228), an idle mass within
+    # EPS_ZERO of 0 (217)
+    *_, inst = idle_free_draws(g, m, draw + 1)
+    reference = unique_merge_round(inst)
+    probs_m, merged_idx = unique_merge_probs(inst)
+    deciding = inst.idle_counts > 0
+    raw = probs_m[merged_idx[deciding]]
+    assert not np.array_equal(np.column_stack([1.0 - raw.sum(axis=1), raw]), reference[deciding])
+    assert allocate(inst).strategy.probs.tobytes() == reference.tobytes()
 
 
 def test_allocate_splits_identical_cost_groups_evenly():
@@ -1460,13 +1519,22 @@ def test_verify_flags_dominated_idling():
 
 def test_verify_rejects_malformed_rows():
     inst = homogeneous([10.0], [0.5], idle=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"row sums off by 1\.000e-01 \(> 1e-09\)"):
         verify_equilibrium(inst, MixedStrategy([[0.5, 0.4]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"probabilities outside \[0, 1\]"):
         verify_equilibrium(inst, MixedStrategy([[-0.1, 1.1]]))
-    busy_row_without_robots = homogeneous([10.0], [0.5], idle=0, assigned=[2])
-    with pytest.raises(ValueError):
-        verify_equilibrium(busy_row_without_robots, MixedStrategy([[0.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"probabilities outside \[0, 1\]"):
+        verify_equilibrium(inst, MixedStrategy([[1.0 + 2 * EPS_ZERO, 0.0]]))
+    with pytest.raises(ValueError, match=r"probabilities outside \[0, 1\]"):
+        verify_equilibrium(inst, MixedStrategy([[np.nan, 1.0]]))
+    with pytest.raises(ValueError, match=r"probabilities outside \[0, 1\]"):
+        verify_equilibrium(inst, MixedStrategy([[0.0, np.inf]]))
+    two = ProblemInstance([10.0], [0.5], [[0.1], [0.2]], [[3, 0], [0, 2]])
+    with pytest.raises(ValueError, match="group 1 has no idle robots but row is not idle"):
+        verify_equilibrium(two, MixedStrategy([[1.0, 0.0], [0.0, 1.0]]))
+    # the row sum is tested before the rows without idle robots
+    with pytest.raises(ValueError, match="row sums off by"):
+        verify_equilibrium(two, MixedStrategy([[0.5, 0.4], [0.0, 1.0]]))
 
 
 def test_verify_accepts_degenerate_instance():
