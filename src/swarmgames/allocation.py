@@ -33,8 +33,8 @@ and with the tasks that idle-mode groups pin as one root, those cells
 form a graph.  On a forest the equations are triangular and are solved
 by substitution.  Mass moved around a cycle changes no row sum or load,
 so a solve holds each cell that closes one at the current point and
-reports the slope of Phi around it.  There are two searches and one
-finish:
+reports the slope of Phi around it.  There are two searches, and the
+second has one finish:
 
 - Principal pivoting on the (support, busy) pattern (Cottle, Pang &
   Stone 1992, ch. 4): solve the equations on it, flip its largest KKT
@@ -43,12 +43,14 @@ finish:
   on Phi.  It needs a number of iterations that barely depends on g,
   and each iteration costs one M x M solve plus vectorised (g, M+1)
   passes, because each group couples only its own cells and the tasks
-  couple through M loads.  Once its iterates are close to the optimum,
-  each new pattern they show is solved at once.
-- A crossover from the last interior iterate where no such solve
-  certifies: a primal active-set method on Phi that steps toward each
-  pattern's solution, or downhill around a cycle where Phi slopes, until
-  a bound blocks, and moves one constraint per step.
+  couple through M loads.  It stops once its iterates are close to the
+  optimum.
+- The finish, a crossover from the last interior iterate (Megiddo
+  1991): a primal active-set method on Phi.  Its first step solves the
+  iterate's pattern, and the round ends there if the solution passes
+  the KKT test.  Else it steps toward each pattern's solution, or
+  downhill around a cycle where Phi slopes, until a bound blocks, and
+  moves one constraint per step.
 
 Most rounds a simulation meets are small (the monitoring scenario's
 4 groups x 5 tasks, the colony's 1 x 2), and most of those end at the
@@ -110,9 +112,8 @@ _SMALL_CELLS = 64         # g x M at or below which rounds run in plain floats a
 _MAX_PIVOTS = 4           # pattern solves before the interior method takes over a small miss
 _MAX_INTERIOR = 50        # interior-point iterations before the crossover takes over
 _MAX_CROSSOVER = 200      # crossover steps before allocate gives up
-_MU_POLISH = 1e-6         # mean complementarity, per idle robot, below which each new pattern
-                          # the interior iterates show is polished once
-_MU_FLOOR = 1e-15         # ... at which the interior method stops
+_MU_POLISH = 1e-6         # mean complementarity, per idle robot, at which the interior
+                          # method hands its iterate to the crossover
 
 
 class AllocationError(RuntimeError):
@@ -237,9 +238,9 @@ class AllocationResult:
     """allocate's strategy, its oracle report (None without the check),
     and how the round was solved: `path` is "warm" (the closed-form warm
     start), "pivot" (pattern pivots from the warm start) or "interior"
-    (the interior-point support search, and the crossover where it ran),
-    and `iterations` counts pivots plus interior iterations plus
-    crossover steps.
+    (the interior-point search and the crossover that finishes it), and
+    `iterations` counts pivots plus interior iterations plus crossover
+    steps.
     """
 
     strategy: MixedStrategy
@@ -549,20 +550,15 @@ def _interior(gamma, s, c, n0, ntask):
     matrix Gamma + A S A^T, with S = x / z and A the per-group
     projection of the task columns.
 
-    Once the mean complementarity mu is below _MU_POLISH per idle robot,
-    each new pattern x > z (support, and busy = idle slack below its
-    dual) is polished once with _solve_modes, on the iteration it first
-    appears.  Each cell of the pattern that closes a cycle (at a tied
-    optimum, or on a pattern the iterates only pass through) is held at
-    the iterate x / n0, so no polish is singular.  A round the polishes
-    do not certify (mu below _MU_FLOOR, or _MAX_INTERIOR iterations)
-    ends in _crossover from the last iterate.  Returns the (g, M) task
-    probabilities and the number of interior iterations plus crossover
-    steps.
+    The steps run until the mean complementarity mu is below _MU_POLISH
+    per idle robot, or for _MAX_INTERIOR steps.  Returns the last
+    iterate as _crossover's start point: the (g, M) support x > z, the
+    busy groups (idle slack below its dual), the (g, M) probabilities
+    x / n0, and the number of Newton steps.
     """
     live = n0 > 0
-    w_all = 1.0 - s - c
-    w, cap = w_all[live], n0[live]
+    w = (1.0 - s - c)[live]
+    cap = n0[live]
     h, m = w.shape
     size = h * (m + 1)
     x = np.repeat((cap / (m + 1))[:, None], m + 1, axis=1)
@@ -571,32 +567,16 @@ def _interior(gamma, s, c, n0, ntask):
     z = np.empty_like(x)
     z[:, 0] = -y
     z[:, 1:] = -y[:, None] - util  # dual feasible: every z >= 1
-    sup = np.zeros(c.shape, dtype=bool)
-    busy = np.zeros(n0.shape[0], dtype=bool)
-    point = np.zeros(c.shape)
-    mean = cap.mean()
-    mu_polish, mu_floor = _MU_POLISH * mean, _MU_FLOOR * mean
-    polished = set()
-    for it in range(1, _MAX_INTERIOR + 1):
+    mu_stop = _MU_POLISH * cap.mean()
+    for steps in range(_MAX_INTERIOR):
         xz = x * z
         mu = float(xz.sum()) / size
-        if mu < mu_polish:
-            above = x > z
-            pattern = above.tobytes()
-            if pattern not in polished:
-                polished.add(pattern)
-                sup[live] = above[:, 1:]
-                busy[live] = ~above[:, 0]
-                point[live] = x[:, 1:] / cap[:, None]
-                probs = _solve_modes(gamma, s, c, n0, ntask, sup, busy, point)[0]
-                if _certified(w_all, gamma, n0, ntask, probs):
-                    return probs, it
-        if mu < mu_floor:
+        if mu < mu_stop:
             break
         # minus the dual and primal residuals.  The start is feasible, but
         # each Newton step feeds the rounding of the last back in, so the
-        # rows drift (by up to 3.3e-7 on rounded draws) and _crossover
-        # rescales its start.
+        # rows drift (by up to 3.3e-7 on rounded draws); _crossover, the
+        # iterate's only consumer, rescales its start.
         rd = z.copy()
         rd[:, 0] += y
         rd[:, 1:] -= ((ntask + np.einsum("ij->j", x[:, 1:])) / gamma - w) - y[:, None]
@@ -624,38 +604,41 @@ def _interior(gamma, s, c, n0, ntask):
         dx, dy, dz = newton(xz + dx * dz - (mu_aff / mu) ** 3 * mu)
         ap, ad = 0.99 * _step_to_boundary(x, dx), 0.99 * _step_to_boundary(z, dz)
         x, y, z = x + ap * dx, y + ad * dy, z + ad * dz
-    probs, steps = _crossover(gamma, s, c, n0, ntask, x, z)
-    return probs, it + steps
+    else:
+        steps = _MAX_INTERIOR
+    sup = np.zeros(c.shape, dtype=bool)
+    busy = np.zeros(n0.shape[0], dtype=bool)
+    p = np.zeros(c.shape)
+    sup[live] = x[:, 1:] > z[:, 1:]
+    busy[live] = x[:, 0] < z[:, 0]
+    p[live] = x[:, 1:] / cap[:, None]
+    return sup, busy, p, steps
 
 
-def _crossover(gamma, s, c, n0, ntask, x, z):
-    """Primal active-set method on min Phi from an interior iterate
-    (Megiddo 1991), on the support forest as in network simplex.
+def _crossover(gamma, s, c, n0, ntask, sup, busy, p):
+    """Primal active-set method on min Phi from a start point (Megiddo
+    1991), on the support forest as in network simplex.
 
-    The point p = x / n0 starts on the support x > z, with busy rows
-    (idle slack below its dual) summing to 1.  Each step solves the
-    pattern with _solve_modes at p.  If every held cell's reduced cost
-    is within _CERT_TOL of 0, the step runs toward that solution, up to
+    The start is a (g, M) support, the busy groups and (g, M)
+    probabilities p, which are zeroed off the support and rescaled in
+    place so that busy rows sum to 1 and the others to at most 1.  Each step
+    solves the pattern with _solve_modes at p.  If every held cell's
+    reduced cost is within _CERT_TOL of 0, the round ends if that
+    solution passes the KKT test; else the step runs toward it, up to
     length 1.  Else Phi falls linearly around the cycle of the largest
     |r|, and the step runs without a cap along the difference a second
     solve makes with that cell bumped by sign(r).  Either step stops
     where a cell empties (it leaves the support) or an idle row fills
-    (it turns busy).  At the solution the round ends if the KKT test
-    passes; else the largest violation is released: a cell outside the
-    support that earns more than its row's value (its best supported
-    utility if busy, else 0), or a busy row valued below 0.  Returns the
-    (g, M) task probabilities and the number of steps.
+    (it turns busy).  At the solution the largest violation is
+    released: a cell outside the support that earns more than its row's
+    value (its best supported utility if busy, else 0), or a busy row
+    valued below 0.  Returns the (g, M) task probabilities and the
+    number of steps.
     """
     g = c.shape[0]
     live = n0 > 0
     w = 1.0 - s - c
-    sup = np.zeros(c.shape, dtype=bool)
-    busy = np.zeros(g, dtype=bool)
-    sup[live] = x[:, 1:] > z[:, 1:]
-    busy[live] = x[:, 0] < z[:, 0]
     busy &= sup.any(axis=1)  # a busy row needs a cell, and its last never empties
-    p = np.zeros(c.shape)
-    p[live] = x[:, 1:] / n0[live, None]
     p[~sup] = 0.0
     mass = p.sum(axis=1)  # rows off by rounding: busy ones to 1, the others to at most 1
     p /= np.where(busy, mass, np.maximum(mass, 1.0))[:, None]
@@ -663,6 +646,8 @@ def _crossover(gamma, s, c, n0, ntask, x, z):
         probs, held = _solve_modes(gamma, s, c, n0, ntask, sup, busy, p)
         cell, r = max(held.items(), key=lambda item: abs(item[1]), default=(None, 0.0))
         if abs(r) <= _CERT_TOL:
+            if _certified(w, gamma, n0, ntask, probs):
+                return probs, step
             d, reach = probs - p, 1.0
         else:
             bumped = p.copy()
@@ -684,8 +669,6 @@ def _crossover(gamma, s, c, n0, ntask, x, z):
         elif j > p.size:
             busy[j - p.size - 1] = True
         elif reach == 1.0:
-            if _certified(w, gamma, n0, ntask, p):
-                return p, step
             util = w - (ntask + n0 @ p) / gamma
             value = np.where(busy, np.where(sup, util, -np.inf).max(axis=1), 0.0)
             gain = np.where(np.column_stack([busy, ~sup]) & live[:, None],
@@ -729,8 +712,9 @@ def _search(gamma, s, c, n0, ntask, warm):
         probs, pivots = _pivot(gamma, s, c, n0, ntask, warm)
         if probs is not None:
             return probs, "pivot", pivots
-    probs, iterations = _interior(gamma, s, c, n0, ntask)
-    return probs, "interior", pivots + iterations
+    sup, busy, p, steps = _interior(gamma, s, c, n0, ntask)
+    probs, crossed = _crossover(gamma, s, c, n0, ntask, sup, busy, p)
+    return probs, "interior", pivots + steps + crossed
 
 
 def _allocate_small(instance: ProblemInstance) -> tuple[list[list[float]], str, int]:
@@ -807,15 +791,13 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
        busy group on one task is a constant load, and only the coupled
        cells are unknowns.
     3. With more cells, or once the pivots give up, an interior-point
-       method runs on Phi; once its mean complementarity is below
-       _MU_POLISH per idle robot, each new pattern its iterates show is
-       solved once, any cell that closes a cycle held at the iterate,
-       and the first solution that passes the test ends the round (path
-       "interior").  Where none does (complementarity reaches
-       _MU_FLOOR, or _MAX_INTERIOR iterations run out), a crossover
-       from the last iterate finishes the round: an active-set method
-       that moves one constraint per step until its point passes the
-       test.
+       method runs on Phi until its mean complementarity is below
+       _MU_POLISH per idle robot, or for _MAX_INTERIOR iterations.  A
+       crossover from its last iterate finishes the round (path
+       "interior"): an active-set method whose first step solves the
+       iterate's pattern, any cell that closes a cycle held at the
+       iterate, and which moves one constraint per step until a
+       solution passes the test.
 
     Rounds of at most _SMALL_CELLS cells run step 1, its KKT test and
     the row assembly in plain floats, bit-identical to the array code;

@@ -3,8 +3,8 @@ fan out a Monte Carlo campaign.
 
 Exit codes
     0   success (allocate: verified equilibrium; sim: reached t_final)
-    1   malformed input file or bad override, or a scenario whose
-        robots cannot be placed
+    1   malformed input file or bad override, a scenario whose robots
+        cannot be placed, or an output path that cannot be written
     2   the equilibrium search failed (AllocationError), or allocate
         produced a strategy the equilibrium oracle rejects (montecarlo:
         in any run, after every artifact is written)
@@ -19,6 +19,7 @@ crash never leaves a partial artifact behind.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import multiprocessing
@@ -56,10 +57,15 @@ def _fmt(value) -> str:
 
 
 def _atomic_write(path: str, writer) -> None:
-    # never leave a half-written artifact under the final name
+    # never leave a half-written artifact under the final name, nor the staging file
     tmp = f"{path}.tmp"
-    writer(tmp)
-    os.replace(tmp, path)
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _fail(message: str, code: int) -> int:
@@ -134,7 +140,10 @@ def cmd_allocate(args) -> int:
         result = allocate(instance, check=True)
     except AllocationError as exc:
         return _fail(f"equilibrium search failed: {exc}", 2)
-    write_strategy_csv(result.strategy, args.out)
+    try:
+        write_strategy_csv(result.strategy, args.out)
+    except OSError as exc:
+        return _fail(f"cannot write {args.out}: {exc.strerror}", 1)
     report = result.report
     print(f"groups={instance.n_groups} tasks={instance.n_tasks}")
     print(f"max support residual     {report.max_support_residual:.3e}")
@@ -214,7 +223,10 @@ def cmd_sim(args) -> int:
     except ScenarioError as exc:
         # a scenario the run cannot set up, such as robots that do not fit
         return _fail(str(exc), 1)
-    _atomic_write(args.out, metrics.write_csv)
+    try:
+        _atomic_write(args.out, metrics.write_csv)
+    except OSError as exc:
+        return _fail(f"cannot write {args.out}: {exc.strerror}", 1)
     steps = len(metrics.rows)
     print(f"{config.kind} seed={args.seed if args.seed is not None else config.seed}: "
           f"{steps} steps, metrics -> {args.out}")
@@ -384,7 +396,10 @@ def cmd_montecarlo(args) -> int:
     if args.jobs is not None and args.jobs < 0:
         return _fail("--jobs must be at least 0", 1)
     base = args.seed if args.seed is not None else config.seed
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        return _fail(f"cannot write {args.out}: {exc.strerror}", 1)
     mapping = to_mapping(config)
     items = [(mapping, base + i, args.out) for i in range(args.runs)]
     jobs = args.jobs or os.cpu_count() or 1

@@ -1221,9 +1221,8 @@ def singleton_round(rng, g, m):
 
 
 def test_large_singleton_rounds_certify():
-    # g = 64 singleton draws, where the sweep count grew with g.  In two of
-    # them (15 and 28) the first pattern the interior method polishes
-    # fails the KKT test, so its iterations go on.
+    # g = 64 singleton draws, where the sweep count grew with g.  In 23 of
+    # them the crossover's first solve fails the KKT test, so it steps on.
     rng = np.random.default_rng(1)
     iterations = 0
     for _ in range(40):
@@ -1231,8 +1230,9 @@ def test_large_singleton_rounds_certify():
         assert result.report.valid
         assert result.path == "interior"
         iterations += result.iterations
-    # 423 when each new pattern is polished once mu < 1e-6 per robot; 484
-    # when a pattern had to repeat and mu be below 1e-10 first
+    # 419 when the crossover takes over once mu < 1e-6 per robot; 423 when
+    # each new pattern was polished once from there; 484 when a pattern had
+    # to repeat and mu be below 1e-10 first
     assert iterations <= 440
 
 
@@ -1247,11 +1247,11 @@ def rounded_singleton_round(seed, g, m):
                            np.round(rng.uniform(0.0, 1.0, (g, m)), 1), counts)
 
 
-def test_singular_early_polish_lets_the_iterations_go_on():
-    # At mu of about 2e-7 per robot this round's pattern closes a cycle of
-    # busy groups and tasks, so its polish holds a cell at the iterate and
-    # fails the KKT test.  The iterations go on; the next new pattern
-    # certifies.
+def test_a_held_busy_cell_that_fails_the_kkt_test_sends_the_crossover_on():
+    # After 7 interior iterations this round's pattern closes a cycle of
+    # busy groups and tasks, so the crossover's first solve holds a cell at
+    # the start point and fails the KKT test.  The crossover goes on and
+    # certifies two steps later.
     held = []
     solve = allocation._solve_modes
 
@@ -1263,13 +1263,15 @@ def test_singular_early_polish_lets_the_iterations_go_on():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(allocation, "_solve_modes", recording)
+        steps = recording_crossover(mp)
         inst = rounded_singleton_round(3983624044, 14, 15)
         result = allocate(inst)
     assert len(held) == 1
     c, n0, ntask = merged_round(inst)
     assert not allocation._certified(1.0 - inst.signals - c, inst.gamma, n0, ntask, held[0])
     assert result.report.valid
-    assert result.path == "interior" and result.iterations <= 9
+    assert steps == [3]
+    assert (result.path, result.iterations) == ("interior", 10)
 
 
 def rounded_tie_rounds(draws):
@@ -1320,9 +1322,10 @@ def recording_crossover(mp):
 
 
 def test_rounded_tie_rounds_certify():
-    # Ties leave the masses free, so the polish holds cells on many of
-    # these rounds, and the crossover finishes the rounds where that
-    # fails the KKT test.  Draw 290 is one.
+    # Ties leave the masses free, so the crossover holds cells on many of
+    # these rounds, and where its first solve fails the KKT test it steps
+    # on until one passes.  Draw 290 is one: 8 interior iterations, then
+    # 13 crossover steps.
     with pytest.MonkeyPatch.context() as mp:
         steps = recording_crossover(mp)
         for n, inst in enumerate(rounded_tie_rounds(300)):
@@ -1332,17 +1335,17 @@ def test_rounded_tie_rounds_certify():
             result = allocate(inst)  # raises AllocationError at the step cap
             assert result.report.valid, n
             if n == 290:
-                assert steps == [7]
-                assert result.iterations == 26
+                assert steps == [13]
+                assert result.iterations == 21
 
 
-@pytest.mark.parametrize("index, iterations", [pytest.param(207, 13, id="207"),
-                                               pytest.param(511, 15, id="511")])
-def test_tied_gate_rounds_certify_at_a_polish(index, iterations):
+@pytest.mark.parametrize("index, iterations, crossed", [pytest.param(207, 11, 3, id="207"),
+                                                        pytest.param(511, 12, 4, id="511")])
+def test_tied_gate_rounds_certify_in_a_few_crossover_steps(index, iterations, crossed):
     # Draws of the g = 64 gate set (default_rng(7); per draw M =
     # integers(4, 17), then a singleton round) whose interior iterates
-    # reach a pattern with a cycle: a polish that holds its cell at the
-    # iterate certifies, with no crossover.
+    # reach a pattern with a cycle: the crossover holds its cell at the
+    # start point, and a few steps from there certify.
     rng = np.random.default_rng(7)
     for _ in range(index + 1):
         inst = singleton_round(rng, 64, int(rng.integers(4, 17)))
@@ -1350,7 +1353,7 @@ def test_tied_gate_rounds_certify_at_a_polish(index, iterations):
         steps = recording_crossover(mp)
         result = allocate(inst)
     assert result.report.valid
-    assert steps == []
+    assert steps == [crossed]
     assert (result.path, result.iterations) == ("interior", iterations)
 
 
@@ -1364,18 +1367,66 @@ def test_crossover_finishes_from_a_far_start(inst, busy):
     # everyone idling, every supported cell must be released in turn; from
     # every group busy on all tasks, every idling group must be.
     c, n0, ntask = merged_round(inst)
-    x = np.zeros((int(np.count_nonzero(n0)), inst.n_tasks + 1))
-    z = np.zeros_like(x)
-    if busy:
-        x[:, 1:] = (n0[n0 > 0] / inst.n_tasks)[:, None]
-        z[:, 0] = 1.0
-    else:
-        x[:, 0] = n0[n0 > 0]
-        z[:, 1:] = 1.0
-    probs, _ = allocation._crossover(inst.gamma, inst.signals, c, n0, ntask, x, z)
+    live = n0 > 0
+    sup = np.zeros(c.shape, dtype=bool)
+    sup[live] = busy
+    probs, _ = allocation._crossover(inst.gamma, inst.signals, c, n0, ntask, sup, live & busy,
+                                     sup / inst.n_tasks)
     assert allocation._certified(1.0 - inst.signals - c, inst.gamma, n0, ntask, probs)
     loads = ntask + n0 @ probs
     assert np.all(np.abs(loads - sweep_loads(inst)) <= 2 * allocation._CERT_TOL * inst.gamma)
+
+
+@st.composite
+def drifted_starts(draw):
+    """A small round and a crossover start as the interior method leaves
+    it, with its rows off by rounding: every live cell positive, a random
+    support and busy set, busy rows and some idle-mode rows at mass 1 and
+    the other idle-mode rows below it, then each row's mass moved by
+    +-3e-7 and every cell off the support given 1e-9."""
+    inst = draw(small_rounds())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c, n0, ntask = merged_round(inst)
+    g, m = c.shape
+    live = n0 > 0
+    sup = (rng.uniform(size=(g, m)) < rng.uniform(0.2, 0.8)) & live[:, None]
+    busy = (rng.uniform(size=g) < 0.5) & sup.any(axis=1)
+    full = busy | (rng.uniform(size=g) < 0.5)
+    p = np.where(sup, rng.uniform(0.1, 1.0, (g, m)), 0.0)
+    p /= np.where(sup.any(axis=1), p.sum(axis=1), 1.0)[:, None]
+    p[~full] *= rng.uniform(0.0, 1.0, (g, 1))[~full]
+    p *= 1.0 + rng.choice([-3e-7, 3e-7], (g, 1))
+    p[~sup & live[:, None]] = 1e-9
+    return inst, (c, n0, ntask), sup, busy, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(drifted_starts())
+def test_crossover_rescales_a_drifted_start(case):
+    # The interior iterates drift off their row constraints (by up to
+    # 3.3e-7 on rounded draws), and the crossover, their only consumer,
+    # rescales its start: off the support to 0, busy rows to 1 and the
+    # other rows to at most 1.  An idle row held over 1 could neither fill
+    # nor certify.
+    inst, (c, n0, ntask), sup, busy, p = case
+    starts = []
+    solve = allocation._solve_modes
+
+    def recording(*args):
+        if not starts:
+            starts.append(args[7].copy())
+        return solve(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(allocation, "_solve_modes", recording)
+        probs, _ = allocation._crossover(inst.gamma, inst.signals, c, n0, ntask, sup.copy(),
+                                         busy.copy(), p.copy())
+    assert allocation._certified(1.0 - inst.signals - c, inst.gamma, n0, ntask, probs)
+    start = starts[0]
+    assert np.all(start[~sup] == 0.0)
+    mass = start.sum(axis=1)
+    assert np.all(np.abs(mass[busy] - 1.0) <= 1e-14)
+    assert np.all(mass[~busy] <= 1.0 + 1e-14)
 
 
 def test_allocate_reports_its_path():

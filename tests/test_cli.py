@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from swarmgames import cli
 from swarmgames.allocation import AllocationError
 from swarmgames.cli import CampaignSummary, main, summarize_runs
 from swarmgames.sim import engine
@@ -293,6 +294,38 @@ def test_montecarlo_names_every_seed_it_cannot_place(tmp_path, capsys, jobs):
     assert "cannot place the robots of 3 of 4 runs (seeds 0, 1, 2)" in err
     assert "seed 3" not in err
     assert list(out.iterdir()) == []
+
+
+def test_allocate_unwritable_out_exits_1(tmp_path, capsys):
+    inst = tmp_path / "inst.yaml"
+    inst.write_text(TWO_TASK_INSTANCE)
+    out = tmp_path / "missing" / "s.csv"
+    assert main(["allocate", str(inst), "--out", str(out)]) == 1
+    assert f"cannot write {out}: No such file or directory" in capsys.readouterr().err
+    assert no_tmp_litter(tmp_path)
+
+
+@pytest.mark.parametrize("name, reason", [("missing/m.csv", "No such file or directory"),
+                                          ("a_directory", "Is a directory")])
+def test_sim_unwritable_out_exits_1(tmp_path, capsys, name, reason):
+    # onto a directory the staging file is written, then the rename fails
+    # and the staging file is removed
+    (tmp_path / "a_directory").mkdir()
+    out = tmp_path / name
+    assert main(["sim", "--scenario", "monitoring", "--t-final", "1", "--out", str(out)]) == 1
+    assert f"cannot write {out}: {reason}" in capsys.readouterr().err
+    assert no_tmp_litter(tmp_path) and no_tmp_litter(tmp_path / "a_directory")
+
+
+def test_montecarlo_out_that_is_a_file_exits_1_before_any_run(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *args: runs.append(args))
+    out = tmp_path / "camp"
+    out.write_text("kept")
+    assert main(["montecarlo", "--scenario", "monitoring", "--t-final", "1",
+                 "--runs", "2", "--jobs", "1", "--out", str(out)]) == 1
+    assert f"cannot write {out}: File exists" in capsys.readouterr().err
+    assert runs == [] and out.read_text() == "kept"
 
 
 def test_sim_monitoring_domain_past_overflow_exits_1(tmp_path, capsys):
