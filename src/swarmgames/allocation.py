@@ -33,24 +33,23 @@ and with the tasks that idle-mode groups pin as one root, those cells
 form a graph.  On a forest the equations are triangular and are solved
 by substitution.  Mass moved around a cycle changes no row sum or load,
 so a solve holds each cell that closes one at the current point and
-reports the slope of Phi around it.  There are two searches, and the
-second has one finish:
+reports the slope of Phi around it.  There is one search, with two
+starts:
 
-- Principal pivoting on the (support, busy) pattern (Cottle, Pang &
-  Stone 1992, ch. 4): solve the equations on it, flip its largest KKT
-  violation and repeat, for at most _MAX_PIVOTS solves.
-- A primal-dual interior-point method (Mehrotra's predictor-corrector)
-  on Phi.  It needs a number of iterations that barely depends on g,
-  and each iteration costs one M x M solve plus vectorised (g, M+1)
-  passes, because each group couples only its own cells and the tasks
-  couple through M loads.  It stops once its iterates are close to the
-  optimum.
-- The finish, a crossover from the last interior iterate (Megiddo
-  1991): a primal active-set method on Phi.  Its first step solves the
-  iterate's pattern, and the round ends there if the solution passes
-  the KKT test.  Else it steps toward each pattern's solution, or
-  downhill around a cycle where Phi slopes, until a bound blocks, and
-  moves one constraint per step.
+- The search is a crossover (Megiddo 1991): a primal active-set method
+  on Phi.  Its first step solves the start point's pattern, and the
+  round ends there if the solution passes the KKT test.  Else it steps
+  toward each pattern's solution, or downhill around a cycle where Phi
+  slopes, until a bound blocks, and moves one constraint per step.
+- A small miss starts it at the warm start itself: its support, the
+  rows it overfills as busy.
+- A larger miss starts it at the last iterate of a primal-dual
+  interior-point method (Mehrotra's predictor-corrector) on Phi.  That
+  method needs a number of iterations that barely depends on g, and each
+  iteration costs one M x M solve plus vectorised (g, M+1) passes,
+  because each group couples only its own cells and the tasks couple
+  through M loads.  It stops once its iterates are close to the
+  optimum.  From the warm start the crossover's step count grows with g.
 
 Most rounds a simulation meets are small (the monitoring scenario's
 4 groups x 5 tasks, the colony's 1 x 2), and most of those end at the
@@ -61,12 +60,12 @@ and the row assembly in plain Python floats, with the same operations
 in the same order, so the strategies are bit-identical (only the KKT
 test's load sums may round differently, by an ulp).  Larger rounds run
 those steps in array code.  Both kinds share one group merge, a dict
-keyed on each cost row's bytes, and the searches.  The constant
+keyed on each cost row's bytes, and the search.  The constant
 sits below the measured whole-round break-even (at par near 96 cells,
-the array code ahead from 128).  The same constant picks the search: a
-warm-start miss with at most `_SMALL_CELLS` merged cells runs the
-pivots, and a larger one, or one the pivots give up on, the interior
-method.
+the array code ahead from 128).  The same constant picks the
+crossover's start, and its KKT test: the float one on small rounds.
+Its ratio test and release run in plain floats at every size, the ratio
+test over the support cells and the idle rows only.
 
 `verify_equilibrium` checks any candidate strategy against the
 definition, independently of the solver.  It first checks that the rows
@@ -108,8 +107,8 @@ EPS_EQ = 1e-8     # accepted expected-utility residual in the oracle
 EPS_SUM = 1e-9    # accepted row-normalization error
 
 _CERT_TOL = 0.1 * EPS_EQ  # KKT residual allocate accepts before the oracle sees it
-_SMALL_CELLS = 64         # g x M at or below which rounds run in plain floats and pivot
-_MAX_PIVOTS = 4           # pattern solves before the interior method takes over a small miss
+_SMALL_CELLS = 64         # g x M at or below which rounds run in plain floats and a miss
+                          # starts the crossover at the warm start
 _MAX_INTERIOR = 50        # interior-point iterations before the crossover takes over
 _MAX_CROSSOVER = 200      # crossover steps before allocate gives up
 _MU_POLISH = 1e-6         # mean complementarity, per idle robot, at which the interior
@@ -117,12 +116,7 @@ _MU_POLISH = 1e-6         # mean complementarity, per idle robot, at which the i
 
 
 class AllocationError(RuntimeError):
-    """The crossover after the interior search hit its step cap."""
-
-
-class SingularSystem(ArithmeticError):
-    """The busy groups and tasks of a support pattern close a cycle (only
-    the pivots' solves, made without a current point, can raise it)."""
+    """The crossover hit its step cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +231,9 @@ class EquilibriumReport:
 class AllocationResult:
     """allocate's strategy, its oracle report (None without the check),
     and how the round was solved: `path` is "warm" (the closed-form warm
-    start), "pivot" (pattern pivots from the warm start) or "interior"
-    (the interior-point search and the crossover that finishes it), and
-    `iterations` counts pivots plus interior iterations plus crossover
-    steps.
+    start), "crossover" (the crossover from the warm start) or "interior"
+    (the interior-point method and the crossover from its last iterate),
+    and `iterations` counts interior iterations plus crossover steps.
     """
 
     strategy: MixedStrategy
@@ -304,8 +297,9 @@ def _merge_groups(costs: np.ndarray) -> tuple[list[int], list[int]]:
     return merged_idx, first
 
 
-def _solve_modes(gamma, s, c, n0, ntask, sup, busy, p=None):
-    """Solve the equilibrium equations for fixed supports and modes.
+def _solve_modes(gamma, s, c, n0, ntask, sup, busy, p):
+    """Solve the equilibrium equations for fixed supports and modes at a
+    current point p, (g, M) probabilities.
 
     A busy group with one supported task puts probability 1 on it, so its
     load is a constant.  Each other supported cell of a busy group is an
@@ -331,25 +325,16 @@ def _solve_modes(gamma, s, c, n0, ntask, sup, busy, p=None):
     A cell closes a cycle where its task and busy group are both reached
     already, or where it is an idle-mode group's on a pinned task after
     the task's first (through the root).  Mass moved around a cycle keeps
-    every busy row sum and load, so the equations leave it free: that
-    raises SingularSystem, unless a current point p, (g, M)
-    probabilities, is given.  Then each such cell is held at p, its load
-    and row mass moved to the right-hand side before the leaves peel,
-    and the call returns the (g, M) probabilities with a dict of each
-    held cell's reduced cost r = w_ik - q_k - v_i (v_i = 0 in idle
-    mode), by which Phi falls per robot of group i moved into the cell
-    around its cycle.  Entries can be negative on a support that holds
-    no equilibrium; the caller tests the result.
+    every busy row sum and load, so the equations leave it free: each
+    such cell is held at p, its load and row mass moved to the
+    right-hand side before the leaves peel.  Returns the (g, M)
+    probabilities with a dict of each held cell's reduced cost
+    r = w_ik - q_k - v_i (v_i = 0 in idle mode), by which Phi falls per
+    robot of group i moved into the cell around its cycle.  Entries can
+    be negative on a support that holds no equilibrium; the caller tests
+    the result.
     """
     g, m = c.shape
-    if p is None and not busy.any():
-        # Pinned tasks are independent; no linear system needed.  A task
-        # no group supports has cmin = inf and an empty pool: its excess,
-        # -inf, is not divided and its share stays 0.
-        pool = n0 @ sup
-        excess = gamma * (1.0 - s) - ntask - gamma * np.where(sup, c, np.inf).min(axis=0)
-        return sup * np.divide(excess, pool, out=np.zeros(m), where=pool > 0)
-
     tasks, groups = sup.T.nonzero()
     # plain floats: numpy scalar arithmetic costs more than this walk
     gamma_, s_, n0_, ntask_ = gamma.tolist(), s.tolist(), n0.tolist(), ntask.tolist()
@@ -378,12 +363,10 @@ def _solve_modes(gamma, s, c, n0, ntask, sup, busy, p=None):
     held = {}   # cycle cell (group, task): its reduced cost
 
     def hold(i, k):
-        if p is None:
-            raise SingularSystem("the busy groups and tasks close a cycle")
         held[i, k] = 1.0 - s_[k] - c.item(i, k) - price[k] - value.get(i, 0.0)
 
-    for k, ids in idles.items():  # with p, each pinned task keeps one idle-mode group
-        while p is not None and len(ids) > 1:
+    for k, ids in idles.items():  # each pinned task keeps one idle-mode group
+        while len(ids) > 1:
             hold(ids.pop(), k)
 
     def spread(stack):
@@ -446,7 +429,7 @@ def _solve_modes(gamma, s, c, n0, ntask, sup, busy, p=None):
         vals += [x] * len(ids)
     probs = np.zeros((g, m))
     probs.put(flat, vals)
-    return probs if p is None else (probs, held)
+    return probs, held
 
 
 def _certified(w, gamma, n0, ntask, probs):
@@ -465,73 +448,34 @@ def _certified(w, gamma, n0, ntask, probs):
     return not (bad_cell.any() or bad_row.any())
 
 
-def _certified_floats(free, c, n0, quote, probs):
-    """_certified on lists, given free = 1 - s and the prices
-    quote = (ntask + n0 @ probs) / gamma; returns the verdict, each row's
-    utilities and each row's mass."""
-    util = [[fk - ck - qk for fk, ck, qk in zip(free, cj, quote)] for cj in c]
-    mass = [_row_sum(row) for row in probs]
-    for row, uj, mj, nj in zip(probs, util, mass, n0):
+def _certified_floats(util, n0, probs):
+    """_certified on lists, given each row's utilities
+    util = 1 - s - c - (ntask + n0 @ probs) / gamma."""
+    for row, uj, nj in zip(probs, util, n0):
+        mass = _row_sum(row)
         best = max(max(uj), 0.0)
-        if (mj > 1.0 + EPS_ZERO or min(row) < -EPS_ZERO
-                or (mj < 1.0 - EPS_ZERO and best > _CERT_TOL and nj > 0.0)
+        if (mass > 1.0 + EPS_ZERO or min(row) < -EPS_ZERO
+                or (mass < 1.0 - EPS_ZERO and best > _CERT_TOL and nj > 0.0)
                 or any(best - u > _CERT_TOL for p, u in zip(row, uj) if p > EPS_ZERO)):
-            return False, util, mass
-    return True, util, mass
+            return False
+    return True
 
 
 def _warm_start(gamma, s, c, n0, ntask):
     """Every task to its cheapest group(s) with idle robots, everyone
-    idling: the closed-form (g, M) task probabilities of that support."""
+    idling: the closed-form (g, M) task probabilities of that support.
+
+    Each supported task is pinned at its cheapest groups' zero-utility
+    level, and those groups share the excess load with equal
+    probabilities.  A task no group supports has cmin = inf and an empty
+    pool: its excess, -inf, is not divided and its share stays 0.
+    """
     cost = np.where((n0 > 0)[:, None], c, np.inf)
     cmin = cost.min(axis=0)
-    sup = (cost == cmin) & (gamma * (1.0 - s) - ntask - gamma * cmin > 0.0)
-    return _solve_modes(gamma, s, c, n0, ntask, sup, np.zeros(n0.shape[0], dtype=bool))
-
-
-def _pivot(gamma, s, c, n0, ntask, warm):
-    """Principal pivoting on the support of the (g, M+1) strategy; a row
-    whose idle action is out of it is busy.
-
-    From the warm support, idle out of rows that overfill, each pivot
-    solves the pattern with _solve_modes and flips the action that fails
-    the KKT test by the most past its tolerance, against the row's value
-    (its first supported task's utility if busy, else 0): a task leaves
-    below the value or below probability 0 and joins above the value;
-    idle leaves a row that overfills or earns above 0 and rejoins a busy
-    row valued below 0.  Returns (probs, pivots); probs is None if a
-    solve is singular or violations outnumber the pivots left.
-    """
-    free, cost, cap = (1.0 - s).tolist(), c.tolist(), n0.tolist()
-    support = np.array([[_row_sum(row) <= 1.0 + EPS_ZERO] + [p > 0.0 for p in row]
-                        for row in warm.tolist()])
-    for pivot in range(1, _MAX_PIVOTS + 1):
-        try:
-            probs = _solve_modes(gamma, s, c, n0, ntask, support[:, 1:], ~support[:, 0])
-        except SingularSystem:
-            break
-        rows = probs.tolist()
-        quote = ((ntask + n0 @ probs) / gamma).tolist()
-        passed, util, mass = _certified_floats(free, cost, cap, quote, rows)
-        if passed:
-            return probs, pivot
-        worst, flip, violations = 0.0, None, 0
-        for i in [i for i, n in enumerate(cap) if n > 0.0]:
-            (idle, *on), ui = support[i].tolist(), util[i]
-            value = 0.0 if idle else ui[on.index(True)]
-            gaps = [max([mass[i] - 1.0 - EPS_ZERO] + [u - _CERT_TOL for u, b in zip(ui, on) if b])
-                    if idle else -value - _CERT_TOL]
-            gaps += [max(-p - EPS_ZERO, value - u - _CERT_TOL) if b else u - value - _CERT_TOL
-                     for p, u, b in zip(rows[i], ui, on)]
-            violations += sum(x > 0.0 for x in gaps)
-            gap = max(gaps)
-            if gap > worst:
-                worst, flip = gap, (i, gaps.index(gap))
-        # one flip per pivot: more violations than pivots left is out of reach
-        if flip is None or violations > _MAX_PIVOTS - pivot:
-            break
-        support[flip] ^= True
-    return None, pivot
+    excess = gamma * (1.0 - s) - ntask - gamma * cmin
+    sup = (cost == cmin) & (excess > 0.0)
+    pool = n0 @ sup
+    return sup * np.divide(excess, pool, out=np.zeros(c.shape[1]), where=pool > 0)
 
 
 def _step_to_boundary(v, dv):
@@ -553,8 +497,8 @@ def _interior(gamma, s, c, n0, ntask):
     The steps run until the mean complementarity mu is below _MU_POLISH
     per idle robot, or for _MAX_INTERIOR steps.  Returns the last
     iterate as _crossover's start point: the (g, M) support x > z, the
-    busy groups (idle slack below its dual), the (g, M) probabilities
-    x / n0, and the number of Newton steps.
+    busy groups (idle slack below its dual, and a supported cell), the
+    (g, M) probabilities x / n0, and the number of Newton steps.
     """
     live = n0 > 0
     w = (1.0 - s - c)[live]
@@ -609,8 +553,8 @@ def _interior(gamma, s, c, n0, ntask):
     sup = np.zeros(c.shape, dtype=bool)
     busy = np.zeros(n0.shape[0], dtype=bool)
     p = np.zeros(c.shape)
-    sup[live] = x[:, 1:] > z[:, 1:]
-    busy[live] = x[:, 0] < z[:, 0]
+    sup[live] = on = x[:, 1:] > z[:, 1:]
+    busy[live] = (x[:, 0] < z[:, 0]) & on.any(axis=1)
     p[live] = x[:, 1:] / cap[:, None]
     return sup, busy, p, steps
 
@@ -619,66 +563,88 @@ def _crossover(gamma, s, c, n0, ntask, sup, busy, p):
     """Primal active-set method on min Phi from a start point (Megiddo
     1991), on the support forest as in network simplex.
 
-    The start is a (g, M) support, the busy groups and (g, M)
-    probabilities p, which are zeroed off the support and rescaled in
-    place so that busy rows sum to 1 and the others to at most 1.  Each step
-    solves the pattern with _solve_modes at p.  If every held cell's
-    reduced cost is within _CERT_TOL of 0, the round ends if that
-    solution passes the KKT test; else the step runs toward it, up to
-    length 1.  Else Phi falls linearly around the cycle of the largest
-    |r|, and the step runs without a cap along the difference a second
-    solve makes with that cell bumped by sign(r).  Either step stops
-    where a cell empties (it leaves the support) or an idle row fills
-    (it turns busy).  At the solution the largest violation is
-    released: a cell outside the support that earns more than its row's
-    value (its best supported utility if busy, else 0), or a busy row
-    valued below 0.  Returns the (g, M) task probabilities and the
-    number of steps.
+    The start is a (g, M) support, the busy groups, each with a
+    supported cell (its last never empties), and (g, M) probabilities
+    p, which are zeroed off the support and rescaled so
+    that busy rows sum to 1 and the others to at most 1: the warm start
+    overfills its busy rows, and the interior iterates drift off theirs
+    by rounding.  Each step solves the pattern with _solve_modes at p.
+    If every held cell's reduced cost is within _CERT_TOL of 0, the
+    round ends if that solution passes the KKT test (in floats on at
+    most _SMALL_CELLS cells); else the step runs toward it, up to length
+    1.  Else Phi falls linearly around the cycle of the largest |r|, and
+    the step runs without a cap along the difference a second solve
+    makes with that cell bumped by sign(r).  Either step stops where a
+    cell empties (it leaves the support) or an idle row fills (it turns
+    busy).  A full step ends at the solution, so the KKT test's
+    utilities price the release of its largest violation: a cell outside
+    the support that earns more than its row's value (its best supported
+    utility if busy, else 0), or a busy row valued below 0.  The ratio
+    test and the release run in plain floats, the ratio test over the
+    support cells and the idle rows only.  sup and busy are updated in
+    place.  Returns the (g, M) task probabilities and the number of
+    steps.
     """
-    g = c.shape[0]
-    live = n0 > 0
+    m = c.shape[1]
+    small = c.size <= _SMALL_CELLS
     w = 1.0 - s - c
-    busy &= sup.any(axis=1)  # a busy row needs a cell, and its last never empties
-    p[~sup] = 0.0
-    mass = p.sum(axis=1)  # rows off by rounding: busy ones to 1, the others to at most 1
+    cap = n0.tolist()
+    p = np.where(sup, p, 0.0)
+    mass = p.sum(axis=1)
     p /= np.where(busy, mass, np.maximum(mass, 1.0))[:, None]
     for step in range(1, _MAX_CROSSOVER + 1):
         probs, held = _solve_modes(gamma, s, c, n0, ntask, sup, busy, p)
         cell, r = max(held.items(), key=lambda item: abs(item[1]), default=(None, 0.0))
         if abs(r) <= _CERT_TOL:
-            if _certified(w, gamma, n0, ntask, probs):
+            util = w - (ntask + n0 @ probs) / gamma
+            if (_certified_floats(util.tolist(), cap, probs.tolist()) if small
+                    else _certified(w, gamma, n0, ntask, probs)):
                 return probs, step
-            d, reach = probs - p, 1.0
+            ends, base, reach = probs, p, 1.0
         else:
             bumped = p.copy()
             bumped[cell] += math.copysign(1.0, r)
-            d, reach = _solve_modes(gamma, s, c, n0, ntask, sup, busy, bumped)[0] - probs, np.inf
-        # ratio test: the step's own end, then each emptying cell, then each filling idle row
-        growth = d.sum(axis=1)
-        limits = np.concatenate([
-            [reach],
-            np.divide(p, -d, out=np.full(c.shape, np.inf), where=sup & (d < 0.0)).ravel(),
-            np.divide(np.maximum(1.0 - p.sum(axis=1), 0.0), growth, out=np.full(g, np.inf),
-                      where=~busy & (growth > 0.0)),
-        ])
-        j = int(limits.argmin())
-        p = np.maximum(p + limits[j] * d, 0.0)
-        if 0 < j <= p.size:
-            sup.flat[j - 1] = False
-            p.flat[j - 1] = 0.0
-        elif j > p.size:
-            busy[j - p.size - 1] = True
-        elif reach == 1.0:
-            util = w - (ntask + n0 @ p) / gamma
-            value = np.where(busy, np.where(sup, util, -np.inf).max(axis=1), 0.0)
-            gain = np.where(np.column_stack([busy, ~sup]) & live[:, None],
-                            np.column_stack([-value, util - value[:, None]]), -np.inf)
-            i, k = np.unravel_index(int(gain.argmax()), gain.shape)
-            if gain[i, k] > 0.0:
-                if k:
-                    sup[i, k - 1] = True
-                else:
-                    busy[i] = False
+            ends = _solve_modes(gamma, s, c, n0, ntask, sup, busy, bumped)[0]
+            base, reach = probs, math.inf
+        # ratio test over the support cells and the idle rows they fill: the
+        # step's own end, then each emptying cell, then each filling idle row
+        cells = np.flatnonzero(sup)
+        at = p.take(cells).tolist()
+        d = (ends - base).take(cells).tolist()
+        busy_ = busy.tolist()
+        growth, filled = {}, {}
+        length, block = reach, None
+        for f, x, dk in zip(cells.tolist(), at, d):
+            i = f // m
+            growth[i] = growth.get(i, 0.0) + dk
+            filled[i] = filled.get(i, 0.0) + x
+            if dk < 0.0 and x / -dk < length:
+                length, block = x / -dk, (i, f - i * m)
+        for i, grown in growth.items():
+            if not busy_[i] and grown > 0.0:
+                room = max(1.0 - filled[i], 0.0) / grown
+                if room < length:
+                    length, block = room, (i, None)
+        p.put(cells, [max(x + length * dk, 0.0) for x, dk in zip(at, d)])
+        if block is None and reach == 1.0:
+            # a full step ends at the solution, which util prices
+            gain = 0.0
+            for i, (ui, on, ni) in enumerate(zip(util.tolist(), sup.tolist(), cap)):
+                if ni > 0.0:
+                    value = max([u for u, b in zip(ui, on) if b]) if busy_[i] else 0.0
+                    if -value > gain:
+                        gain, block = -value, (i, None)
+                    for k, (u, b) in enumerate(zip(ui, on)):
+                        if not b and u - value > gain:
+                            gain, block = u - value, (i, k)
+        # a bound the step reached turns active, a released one inactive
+        if block is not None:
+            i, k = block
+            if k is None:
+                busy[i] = not busy_[i]
+            else:
+                sup[i, k] = not sup[i, k]
+                p[i, k] = 0.0
     raise AllocationError(f"crossover did not finish in {_MAX_CROSSOVER} steps")
 
 
@@ -707,14 +673,13 @@ def _row_sum(xs):
 
 def _search(gamma, s, c, n0, ntask, warm):
     """Steps 2 and 3 of allocate on the merged groups: (probs, path, iterations)."""
-    pivots = 0
     if c.size <= _SMALL_CELLS:
-        probs, pivots = _pivot(gamma, s, c, n0, ntask, warm)
-        if probs is not None:
-            return probs, "pivot", pivots
+        probs, steps = _crossover(gamma, s, c, n0, ntask, warm > 0.0,
+                                  warm.sum(axis=1) > 1.0 + EPS_ZERO, warm)
+        return probs, "crossover", steps
     sup, busy, p, steps = _interior(gamma, s, c, n0, ntask)
     probs, crossed = _crossover(gamma, s, c, n0, ntask, sup, busy, p)
-    return probs, "interior", pivots + steps + crossed
+    return probs, "interior", steps + crossed
 
 
 def _allocate_small(instance: ProblemInstance) -> tuple[list[list[float]], str, int]:
@@ -757,7 +722,9 @@ def _allocate_small(instance: ProblemInstance) -> tuple[list[list[float]], str, 
                     probs[j][k] = shared
                     dots[k] += n0[j] * shared
         quote = [(nk + dk) / gk for nk, dk, gk in zip(ntask, dots, gamma)]
-        if not _certified_floats([1.0 - sk for sk in s], c, n0, quote, probs)[0]:
+        free = [1.0 - sk for sk in s]
+        util = [[fk - ck - qk for fk, ck, qk in zip(free, cj, quote)] for cj in c]
+        if not _certified_floats(util, n0, probs):
             probs, path, iterations = _search(instance.gamma, instance.signals, np.array(c),
                                               np.array(n0), np.array(ntask), np.array(probs))
             probs = probs.tolist()
@@ -782,26 +749,23 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
 
     1. Each task goes to its cheapest group(s), everyone idling, and
        that support is solved in closed form (path "warm").
-    2. Otherwise, with at most _SMALL_CELLS merged cells (g x M), each
-       pivot solves the equilibrium equations on a (support, busy)
-       pattern, from the warm start's, and flips the pattern's largest
-       KKT violation until a solution passes the test (path "pivot").
-       The pivots give up when a solve is singular or more KKT
-       violations remain than pivots of _MAX_PIVOTS.  In every solve a
-       busy group on one task is a constant load, and only the coupled
-       cells are unknowns.
-    3. With more cells, or once the pivots give up, an interior-point
-       method runs on Phi until its mean complementarity is below
-       _MU_POLISH per idle robot, or for _MAX_INTERIOR iterations.  A
-       crossover from its last iterate finishes the round (path
-       "interior"): an active-set method whose first step solves the
-       iterate's pattern, any cell that closes a cycle held at the
-       iterate, and which moves one constraint per step until a
-       solution passes the test.
+    2. Otherwise one search, the crossover, runs from a start point:
+       an active-set method whose first step solves the start's
+       (support, busy) pattern, any cell that closes a cycle held at
+       the start, and which moves one constraint per step until a
+       solution passes the test.  In every solve a busy group on one
+       task is a constant load, and only the coupled cells are
+       unknowns.  With at most _SMALL_CELLS merged cells (g x M) it
+       starts at the warm start, the rows that overfill busy (path
+       "crossover").
+    3. With more cells, an interior-point method first runs on Phi until
+       its mean complementarity is below _MU_POLISH per idle robot, or
+       for _MAX_INTERIOR iterations, and the crossover starts at its
+       last iterate (path "interior").
 
     Rounds of at most _SMALL_CELLS cells run step 1, its KKT test and
     the row assembly in plain floats, bit-identical to the array code;
-    the merge and steps 2 and 3 are shared.
+    the merge and the search are shared.
 
     Groups without idle robots get degenerate idle rows.  With `check`
     the returned strategy is certified by the independent oracle,
@@ -810,8 +774,7 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
     under half of a warm array round.  A caller that trusts the solver
     in a hot loop, as the simulation does, passes check=False.  The
     result's `path` says which step ended the round and `iterations`
-    counts its pivots plus interior iterations plus crossover steps.
-    Raises AllocationError only if the crossover reaches
+    counts its interior iterations plus crossover steps.  Raises AllocationError only if the crossover reaches
     _MAX_CROSSOVER steps.
     """
     if instance.costs.size <= _SMALL_CELLS:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import math
 import multiprocessing
 import os
@@ -66,6 +67,18 @@ def _atomic_write(path: str, writer) -> None:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def _check_writable(path: str) -> None:
+    """Raise, before any work, the OSError that writing path through
+    _atomic_write would: create and remove its staging file, and refuse
+    a directory, onto which the rename would fail."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    tmp = f"{path}.tmp"
+    with open(tmp, "w"):
+        pass
+    os.remove(tmp)
 
 
 def _fail(message: str, code: int) -> int:
@@ -218,6 +231,10 @@ def cmd_sim(args) -> int:
         return _fail(f"cannot read {args.scenario}: {exc.strerror}", 1)
     except ScenarioError as exc:
         return _fail(str(exc), 1)
+    try:
+        _check_writable(args.out)
+    except OSError as exc:
+        return _fail(f"cannot write {args.out}: {exc.strerror}", 1)
     try:
         metrics = run(config, args.seed)
     except ScenarioError as exc:

@@ -786,28 +786,27 @@ def test_warm_rounds_are_those_the_closed_form_fits(inst):
 @example(_pooled_draw(random.Random("1088/4/5"), 4, 5))
 def test_float_round_matches_array_round(inst):
     # Singleton draws often miss the warm start, so the hand-off from the
-    # float warm start to the pivots and the interior method is covered
-    # along with the hits.  A spurious miss would still reach the same
-    # equilibrium, so the paths must also agree on whether the interior
-    # method ran.
+    # float warm start to the crossover is covered along with the hits.  A
+    # spurious miss would still reach the same equilibrium, so the paths
+    # and step counts must also agree, and neither side may reach the
+    # interior method, which only larger rounds run.
     calls = []
     interior = allocation._interior
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(allocation, "_interior", lambda *a: calls.append(1) or interior(*a))
         rows, path, iterations = allocation._allocate_small(inst)
-        float_calls = len(calls)
         arrays, array_path, array_iterations = allocation._allocate_arrays(inst)
     floats = np.array(rows)
     assert floats.tobytes() == arrays.tobytes()
     assert (verify_equilibrium(inst, MixedStrategy(floats))
             == verify_equilibrium(inst, MixedStrategy(arrays)))
-    assert float_calls == len(calls) - float_calls
+    assert calls == []
     assert (path, iterations) == (array_path, array_iterations)
 
 
 # Reference: Gauss-Seidel best-response sweeps on the potential, each
 # group's step an exact water-filling solution.  An algorithm independent
-# of allocate's searches (only the final polish is shared), so the loads
+# of allocate's search (only the final polish is shared), so the loads
 # they reach check allocate's.
 
 
@@ -872,9 +871,10 @@ def extrapolate(w, gamma, ntask, n0, start, x):
 def best_response_sweeps(gamma, s, c, n0, ntask, probs, max_sweeps=10_000):
     """(g, M) task probabilities of the merged groups at a minimiser of
     Phi, by best-response sweeps from `probs`.  Once a (support, busy)
-    pattern recurs it is polished with allocation._solve_modes; where
-    ties make that singular, the sweep iterate is returned as soon as it
-    passes the KKT test."""
+    pattern recurs it is polished with allocation._solve_modes at the
+    sweep iterate, p = x / n0, which holds each cell that closes a cycle
+    there; where ties leave that polish short of the KKT test, the sweep
+    iterate is returned as soon as it passes."""
     w = 1.0 - s - c
     busy = np.zeros(n0.shape[0], dtype=bool)
     rows = np.flatnonzero(n0 > 0).tolist()
@@ -895,22 +895,18 @@ def best_response_sweeps(gamma, s, c, n0, ntask, probs, max_sweeps=10_000):
         sup = x > EPS_ZERO * n0[:, None]
         pattern = sup.tobytes() + busy.tobytes()
         if pattern in seen:
+            point = x / np.where(n0 > 0, n0, 1.0)[:, None]
             if pattern not in polished:
                 polished.add(pattern)
-                try:
-                    probs = allocation._solve_modes(gamma, s, c, n0, ntask, sup, busy)
-                except allocation.SingularSystem:
-                    probs = None
-                if probs is not None:
-                    if allocation._certified(w, gamma, n0, ntask, probs):
-                        return probs
-                    projected = project(probs, n0, rows)
-                    if potential(w, gamma, ntask, projected) < potential(w, gamma, ntask, x):
-                        x = projected
-                        continue
-            probs = x / np.where(n0 > 0, n0, 1.0)[:, None]
-            if allocation._certified(w, gamma, n0, ntask, probs):
-                return probs
+                probs = allocation._solve_modes(gamma, s, c, n0, ntask, sup, busy, point)[0]
+                if allocation._certified(w, gamma, n0, ntask, probs):
+                    return probs
+                projected = project(probs, n0, rows)
+                if potential(w, gamma, ntask, projected) < potential(w, gamma, ntask, x):
+                    x = projected
+                    continue
+            if allocation._certified(w, gamma, n0, ntask, point):
+                return point
         seen.add(pattern)
         x = extrapolate(w, gamma, ntask, n0, start, x)
     raise AssertionError(f"the reference sweeps did not converge in {max_sweeps}")
@@ -944,7 +940,7 @@ def test_interior_rounds_match_the_sweeps(inst):
     assert np.all(np.abs(loads - sweep_loads(inst)) <= 2 * allocation._CERT_TOL * inst.gamma)
 
 
-def solve_modes_dense(gamma, s, c, n0, ntask, sup, busy, held=(), p=None):
+def solve_modes_dense(gamma, s, c, n0, ntask, sup, busy, held, p):
     """Reference for allocation._solve_modes: the equilibrium equations
     on the whole support, one unknown per supported cell, busy groups on
     a single task included, in one dense solve.
@@ -1012,17 +1008,16 @@ def solve_modes_dense(gamma, s, c, n0, ntask, sup, busy, held=(), p=None):
 
 def dense_solve(a, b):
     """LAPACK solve of A x = b, with its own singular verdict: a 2-norm
-    condition number above 1e12."""
+    condition number above 1e12 raises LinAlgError."""
     if not np.linalg.cond(a) <= 1e12:
-        raise allocation.SingularSystem("ill-conditioned dense system")
+        raise np.linalg.LinAlgError("ill-conditioned dense system")
     return np.linalg.solve(a, b)
 
 
 def assert_patterns_match_the_dense_reference(inst):
-    """Run allocate on inst and check every pattern it solves, warm start
-    included, against solve_modes_dense: the same singular verdicts, and
-    solutions within 1e-12, those of calls at a current point with the
-    cells _solve_modes held at it.  Returns allocate's result."""
+    """Run allocate on inst and check every pattern it solves against
+    solve_modes_dense with the cells _solve_modes held at the call's
+    current point: solutions within 1e-12.  Returns allocate's result."""
     systems = []
     solve = allocation._solve_modes
 
@@ -1034,17 +1029,8 @@ def assert_patterns_match_the_dense_reference(inst):
         mp.setattr(allocation, "_solve_modes", recording)
         result = allocate(inst)
     for system in systems:
-        if len(system) == 8:
-            probs, held = solve(*system)
-            reference = solve_modes_dense(*system[:7], held, system[7])
-        else:
-            try:
-                reference = solve_modes_dense(*system)
-            except allocation.SingularSystem:
-                with pytest.raises(allocation.SingularSystem):
-                    solve(*system)
-                continue
-            probs = solve(*system)
+        probs, held = solve(*system)
+        reference = solve_modes_dense(*system[:7], held, system[7])
         assert np.max(np.abs(probs - reference), initial=0.0) <= 1e-12
     return result
 
@@ -1092,11 +1078,13 @@ def test_rounds_beyond_the_instance_caps_certify(g, m, pooled, rounded):
         assert result.report.valid, result.report
 
 
-def test_a_support_cycle_is_singular_without_a_solve():
+def test_a_support_cycle_holds_one_busy_cell():
     # Mass moved around a cycle of busy groups and tasks keeps every row
-    # sum and load, so the equations leave it free: two busy groups on the
-    # same two tasks, and a busy group on two tasks pinned by idle-mode
-    # groups (the cycle runs through the pins).
+    # sum and load, so the equations leave it free (the dense reference
+    # is singular): two busy groups on the same two tasks, and a busy
+    # group on two tasks pinned by idle-mode groups (the cycle runs
+    # through the pins).  A solve at a feasible point holds one busy cell
+    # of the cycle there and solves the rest.
     gamma, s = np.array([4.0, 5.0, 6.0]), np.array([0.1, 0.2, 0.3])
     c = np.array([[0.1, 0.2, 0.3], [0.3, 0.1, 0.2], [0.2, 0.3, 0.1]])
     n0, ntask = np.array([1.0, 2.0, 3.0]), np.zeros(3)
@@ -1104,10 +1092,13 @@ def test_a_support_cycle_is_singular_without_a_solve():
     pinned = [[1, 1, 0], [1, 0, 0], [0, 1, 0]], [1, 0, 0]
     for sup, busy in (shared, pinned):
         sup, busy = np.array(sup, dtype=bool), np.array(busy, dtype=bool)
-        with pytest.raises(allocation.SingularSystem):
-            solve_modes_dense(gamma, s, c, n0, ntask, sup, busy)
-        with pytest.raises(allocation.SingularSystem):
-            allocation._solve_modes(gamma, s, c, n0, ntask, sup, busy)
+        p = sup / np.where(busy, sup.sum(axis=1), 2.0)[:, None]  # busy rows at 1, idle ones at 1/2
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_modes_dense(gamma, s, c, n0, ntask, sup, busy, (), p)
+        probs, held = allocation._solve_modes(gamma, s, c, n0, ntask, sup, busy, p)
+        assert len(held) == 1 and all(busy[i] for i, _ in held)
+        reference = solve_modes_dense(gamma, s, c, n0, ntask, sup, busy, held, p)
+        assert np.max(np.abs(probs - reference)) <= 1e-12
 
 
 @st.composite
@@ -1135,18 +1126,9 @@ def held_cases(draw):
 def test_held_cells_solve_like_the_dense_reference(case):
     # A call at a current point holds each cell that closes a cycle there
     # and solves the rest; the held set breaks every cycle, so the dense
-    # reference with those cells on its right-hand side is regular.  A
-    # call without a point shares a pinned task among its idle-mode
-    # groups, and is singular where a busy group's cell is held.
+    # reference with those cells on its right-hand side is regular.
     (gamma, s, c, n0, ntask), sup, busy, p = case
     probs, held = allocation._solve_modes(gamma, s, c, n0, ntask, sup, busy, p)
-    cycle = any(busy[i] for i, _ in held)
-    try:
-        allocation._solve_modes(gamma, s, c, n0, ntask, sup, busy)
-    except allocation.SingularSystem:
-        assert cycle
-    else:
-        assert not cycle
     reference = solve_modes_dense(gamma, s, c, n0, ntask, sup, busy, held, p)
     assert np.max(np.abs(probs - reference), initial=0.0) <= 1e-12
     util = 1.0 - s - c - (ntask + n0 @ probs) / gamma
@@ -1189,25 +1171,29 @@ def kkt_cases(draw):
 def test_float_kkt_test_matches_the_array_test(case):
     inst, probs = case
     n0, ntask = inst.idle_counts.astype(float), inst.task_totals.astype(float)
-    quote = (ntask + n0 @ probs) / inst.gamma
-    passed, util, mass = allocation._certified_floats(
-        (1.0 - inst.signals).tolist(), inst.costs.tolist(), n0.tolist(), quote.tolist(),
-        probs.tolist())
     w = 1.0 - inst.signals - inst.costs
+    util = w - (ntask + n0 @ probs) / inst.gamma
+    passed = allocation._certified_floats(util.tolist(), n0.tolist(), probs.tolist())
     assert passed == allocation._certified(w, inst.gamma, n0, ntask, probs)
-    assert np.array_equal(util, w - quote)
-    assert np.array_equal(mass, probs.sum(axis=1))
+
+
+def rounded(inst):
+    """inst with exact cost and task ties: gamma (drawn from [1, 20])
+    rounded to an integer, signals and costs rounded to 0.1."""
+    return ProblemInstance(np.round(inst.gamma), np.round(inst.signals, 1),
+                           np.round(inst.costs, 1), inst.counts)
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_rounds())
+@given(st.one_of(small_rounds(), small_rounds().map(rounded)))
 @example(MONITORING_CYCLE)
-def test_pivot_rounds_match_the_sweeps(inst):
+def test_small_misses_match_the_sweeps(inst):
+    # every small miss ends in the crossover from the warm start
     result = allocate(inst)
     assert result.report.valid, result.report
-    if result.path != "pivot":
+    assert result.path in ("warm", "crossover")
+    if result.path == "warm":
         return
-    assert 1 <= result.iterations <= allocation._MAX_PIVOTS
     loads = inst.task_totals + inst.idle_counts @ result.strategy.probs[:, 1:]
     assert np.all(np.abs(loads - sweep_loads(inst)) <= 2 * allocation._CERT_TOL * inst.gamma)
 
@@ -1257,7 +1243,7 @@ def test_a_held_busy_cell_that_fails_the_kkt_test_sends_the_crossover_on():
 
     def recording(*args):
         out = solve(*args)
-        if len(args) == 8 and any(args[6][i] for i, _ in out[1]):  # a busy cell held
+        if any(args[6][i] for i, _ in out[1]):  # a busy cell held
             held.append(out[0])
         return out
 
@@ -1414,7 +1400,7 @@ def test_crossover_rescales_a_drifted_start(case):
 
     def recording(*args):
         if not starts:
-            starts.append(args[7].copy())
+            starts.append(np.array(args[7]))
         return solve(*args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1440,24 +1426,25 @@ def test_allocate_reports_its_path():
                                       rng.uniform(0.0, 0.5, (64, 16)),
                                       np.column_stack([n0, committed])))
     assert (pooled.path, pooled.iterations) == ("warm", 0)
-    # the largest singleton round of the allocation benchmark, drawn after
-    # its ten smaller ones
+    # the singleton rounds of the allocation benchmark: the six of at most
+    # _SMALL_CELLS cells miss the warm start and the crossover from it
+    # finishes each, in up to 20 steps; the largest, drawn last, runs the
+    # interior method first
     rng = np.random.default_rng(2501)
     shapes = [(8, 4)] * 3 + [(8, 8)] * 3 + [(16, 8)] * 2 + [(32, 8), (32, 16), (64, 16)]
     rounds = [singleton_round(rng, g, m) for g, m in shapes]
+    small = [allocate(inst) for inst in rounds[:6]]
+    assert [(r.path, r.iterations) for r in small] == [
+        ("crossover", 8), ("crossover", 18), ("crossover", 4),
+        ("crossover", 17), ("crossover", 20), ("crossover", 11)]
+    assert all(r.report.valid for r in small)
     interior = allocate(rounds[-1])
     assert (interior.path, interior.iterations) == ("interior", 10)
     assert interior.report.valid
-    # the first 8 x 8 round needs 17 pivots; after the first, more actions
-    # violate the KKT test than pivots are left, so the interior method
-    # takes it over
-    fallback = allocate(rounds[3])
-    assert (fallback.path, fallback.iterations) == ("interior", 1 + 6)
-    assert fallback.report.valid
     # a monitoring miss: the warm start overfills groups 0 and 3, which
     # start busy, and the second solve certifies once group 1 joins the third task
     cycle = allocate(MONITORING_CYCLE)
-    assert (cycle.path, cycle.iterations) == ("pivot", 2)
+    assert (cycle.path, cycle.iterations) == ("crossover", 2)
 
 
 # ---------------------------------------------------------------------------

@@ -308,12 +308,25 @@ def test_allocate_unwritable_out_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("name, reason", [("missing/m.csv", "No such file or directory"),
                                           ("a_directory", "Is a directory")])
 def test_sim_unwritable_out_exits_1(tmp_path, capsys, name, reason):
-    # onto a directory the staging file is written, then the rename fails
-    # and the staging file is removed
     (tmp_path / "a_directory").mkdir()
     out = tmp_path / name
     assert main(["sim", "--scenario", "monitoring", "--t-final", "1", "--out", str(out)]) == 1
     assert f"cannot write {out}: {reason}" in capsys.readouterr().err
+    assert no_tmp_litter(tmp_path) and no_tmp_litter(tmp_path / "a_directory")
+
+
+@pytest.mark.parametrize("name", ["missing/m.csv", "a_directory"])
+def test_sim_unwritable_out_exits_1_before_the_run(tmp_path, capsys, monkeypatch, name):
+    # a full monitoring horizon is not simulated only to find that its
+    # metrics cannot be written
+    def run(*args):
+        raise AssertionError("the run started before --out was tried")
+
+    monkeypatch.setattr(cli, "run", run)
+    (tmp_path / "a_directory").mkdir()
+    out = tmp_path / name
+    assert main(["sim", "--scenario", "monitoring", "--out", str(out)]) == 1
+    assert f"cannot write {out}" in capsys.readouterr().err
     assert no_tmp_litter(tmp_path) and no_tmp_litter(tmp_path / "a_directory")
 
 
