@@ -41,30 +41,33 @@ starts:
   round ends there if the solution passes the KKT test.  Else it steps
   toward each pattern's solution, or downhill around a cycle where Phi
   slopes, until a bound blocks, and moves one constraint per step.
+  Its start lies on the face of the row constraints: busy rows sum to
+  1, the others to at most 1.
 - A small miss starts it at the warm start itself: its support, the
-  rows it overfills as busy.
+  rows it overfills as busy, each row above 1 scaled back to 1.
 - A larger miss starts it at the last iterate of a primal-dual
-  interior-point method (Mehrotra's predictor-corrector) on Phi.  That
-  method needs a number of iterations that barely depends on g, and each
-  iteration costs one M x M solve plus vectorised (g, M+1) passes,
-  because each group couples only its own cells and the tasks couple
-  through M loads.  It stops once its iterates are close to the
-  optimum.  From the warm start the crossover's step count grows with g.
+  interior-point method (Mehrotra's predictor-corrector) on Phi,
+  projected onto that face.  That method needs a number of iterations
+  that barely depends on g, and each iteration costs one M x M solve
+  plus vectorised (g, M+1) passes, because each group couples only its
+  own cells and the tasks couple through M loads.  It stops once its
+  iterates are close to the optimum.  From the warm start the
+  crossover's step count grows with g.
 
 Most rounds a simulation meets are small (the monitoring scenario's
 4 groups x 5 tasks, the colony's 1 x 2), and most of those end at the
 closed-form warm start: one diagonal solve.  On arrays of a few dozen
-cells numpy's fixed cost per call outweighs the arithmetic, so rounds of
-at most `_SMALL_CELLS` cells (g x M) run the warm start, its KKT test
-and the row assembly in plain Python floats, with the same operations
-in the same order, so the strategies are bit-identical (only the KKT
+cells numpy's fixed cost per call outweighs the arithmetic.  So
+`allocate` merges the groups (a dict keyed on each cost row's bytes)
+and sizes the round once: at most `_SMALL_CELLS` merged cells (h x M)
+run the warm start, its KKT test, the crossover's start and the row
+assembly in plain Python floats, with the array code's operations in
+the same order, so the strategies are bit-identical (only the KKT
 test's load sums may round differently, by an ulp).  Larger rounds run
-those steps in array code.  Both kinds share one group merge, a dict
-keyed on each cost row's bytes, and the search.  The constant
-sits below the measured whole-round break-even (at par near 96 cells,
-the array code ahead from 128).  The same constant picks the
-crossover's start, and its KKT test: the float one on small rounds.
-Its ratio test and release run in plain floats at every size, the ratio
+in array code.  The constant sits below the measured whole-round
+break-even (at par near 96 cells, the array code ahead from 128).  The
+crossover's KKT test is the float one on the same small rounds; its
+ratio test and release run in plain floats at every size, the ratio
 test over the support cells and the idle rows only.
 
 `verify_equilibrium` checks any candidate strategy against the
@@ -107,8 +110,7 @@ EPS_EQ = 1e-8     # accepted expected-utility residual in the oracle
 EPS_SUM = 1e-9    # accepted row-normalization error
 
 _CERT_TOL = 0.1 * EPS_EQ  # KKT residual allocate accepts before the oracle sees it
-_SMALL_CELLS = 64         # g x M at or below which rounds run in plain floats and a miss
-                          # starts the crossover at the warm start
+_SMALL_CELLS = 64         # merged cells (h x M) at or below which a round runs in plain floats
 _MAX_INTERIOR = 50        # interior-point iterations before the crossover takes over
 _MAX_CROSSOVER = 200      # crossover steps before allocate gives up
 _MU_POLISH = 1e-6         # mean complementarity, per idle robot, at which the interior
@@ -498,7 +500,10 @@ def _interior(gamma, s, c, n0, ntask):
     per idle robot, or for _MAX_INTERIOR steps.  Returns the last
     iterate as _crossover's start point: the (g, M) support x > z, the
     busy groups (idle slack below its dual, and a supported cell), the
-    (g, M) probabilities x / n0, and the number of Newton steps.
+    (g, M) probabilities x / n0 projected onto the crossover's face
+    (zero off the support, busy rows scaled to sum 1, the others to at
+    most 1: at mu's level the idle slack and the cells off the support
+    still hold up to 7e-3 of a busy row), and the number of Newton steps.
     """
     live = n0 > 0
     w = (1.0 - s - c)[live]
@@ -519,8 +524,8 @@ def _interior(gamma, s, c, n0, ntask):
             break
         # minus the dual and primal residuals.  The start is feasible, but
         # each Newton step feeds the rounding of the last back in, so the
-        # rows drift (by up to 3.3e-7 on rounded draws); _crossover, the
-        # iterate's only consumer, rescales its start.
+        # rows drift, by under 5e-12 of n0 on the tests' tie and g = 64
+        # sets; the hand-over below projects onto the crossover's face.
         rd = z.copy()
         rd[:, 0] += y
         rd[:, 1:] -= ((ntask + np.einsum("ij->j", x[:, 1:])) / gamma - w) - y[:, None]
@@ -556,6 +561,9 @@ def _interior(gamma, s, c, n0, ntask):
     sup[live] = on = x[:, 1:] > z[:, 1:]
     busy[live] = (x[:, 0] < z[:, 0]) & on.any(axis=1)
     p[live] = x[:, 1:] / cap[:, None]
+    p[~sup] = 0.0
+    mass = p.sum(axis=1)
+    p /= np.where(busy, mass, np.maximum(mass, 1.0))[:, None]
     return sup, busy, p, steps
 
 
@@ -564,11 +572,11 @@ def _crossover(gamma, s, c, n0, ntask, sup, busy, p):
     1991), on the support forest as in network simplex.
 
     The start is a (g, M) support, the busy groups, each with a
-    supported cell (its last never empties), and (g, M) probabilities
-    p, which are zeroed off the support and rescaled so
-    that busy rows sum to 1 and the others to at most 1: the warm start
-    overfills its busy rows, and the interior iterates drift off theirs
-    by rounding.  Each step solves the pattern with _solve_modes at p.
+    supported cell (its last never empties), and (g, M) probabilities p
+    on the face of the row constraints: busy rows sum to 1 and the
+    others to at most 1.  Cells off the support are never read; a cell
+    that joins the support starts at 0.  Each step solves the pattern
+    with _solve_modes at p.
     If every held cell's reduced cost is within _CERT_TOL of 0, the
     round ends if that solution passes the KKT test (in floats on at
     most _SMALL_CELLS cells); else the step runs toward it, up to length
@@ -581,17 +589,14 @@ def _crossover(gamma, s, c, n0, ntask, sup, busy, p):
     the support that earns more than its row's value (its best supported
     utility if busy, else 0), or a busy row valued below 0.  The ratio
     test and the release run in plain floats, the ratio test over the
-    support cells and the idle rows only.  sup and busy are updated in
-    place.  Returns the (g, M) task probabilities and the number of
+    support cells and the idle rows only.  sup, busy and p are updated
+    in place.  Returns the (g, M) task probabilities and the number of
     steps.
     """
     m = c.shape[1]
     small = c.size <= _SMALL_CELLS
     w = 1.0 - s - c
     cap = n0.tolist()
-    p = np.where(sup, p, 0.0)
-    mass = p.sum(axis=1)
-    p /= np.where(busy, mass, np.maximum(mass, 1.0))[:, None]
     for step in range(1, _MAX_CROSSOVER + 1):
         probs, held = _solve_modes(gamma, s, c, n0, ntask, sup, busy, p)
         cell, r = max(held.items(), key=lambda item: abs(item[1]), default=(None, 0.0))
@@ -671,31 +676,19 @@ def _row_sum(xs):
     return total
 
 
-def _search(gamma, s, c, n0, ntask, warm):
-    """Steps 2 and 3 of allocate on the merged groups: (probs, path, iterations)."""
-    if c.size <= _SMALL_CELLS:
-        probs, steps = _crossover(gamma, s, c, n0, ntask, warm > 0.0,
-                                  warm.sum(axis=1) > 1.0 + EPS_ZERO, warm)
-        return probs, "crossover", steps
-    sup, busy, p, steps = _interior(gamma, s, c, n0, ntask)
-    probs, crossed = _crossover(gamma, s, c, n0, ntask, sup, busy, p)
-    return probs, "interior", steps + crossed
-
-
-def _allocate_small(instance: ProblemInstance) -> tuple[list[list[float]], str, int]:
+def _allocate_small(instance: ProblemInstance, merged_idx: list[int],
+                    first: list[int]) -> tuple[list[list[float]], str, int]:
     """allocate's round in plain floats; returns the (g, M+1) rows, the
     path and the iteration count.
 
-    After the shared _merge_groups, the same float operations in the
-    same order as the array code: _warm_start, the KKT test of
-    _certified (as _certified_floats) and the row assembly of
-    _allocate_arrays.  A warm start that fails the test goes to
-    _search, as in the array code.
+    On allocate's merged groups, the same float operations in the same
+    order as the array code: _warm_start, the KKT test of _certified (as
+    _certified_floats) and the row assembly of _allocate_arrays.  A warm
+    start that fails the test goes to _crossover from the warm start.
     """
     gamma, s = instance.gamma.tolist(), instance.signals.tolist()
     counts = instance.counts.tolist()
     g, m = instance.costs.shape
-    merged_idx, first = _merge_groups(instance.costs)
     cost_rows = instance.costs.tolist()
     c = [cost_rows[i] for i in first]
     n0 = [0] * len(first)
@@ -725,9 +718,13 @@ def _allocate_small(instance: ProblemInstance) -> tuple[list[list[float]], str, 
         free = [1.0 - sk for sk in s]
         util = [[fk - ck - qk for fk, ck, qk in zip(free, cj, quote)] for cj in c]
         if not _certified_floats(util, n0, probs):
-            probs, path, iterations = _search(instance.gamma, instance.signals, np.array(c),
-                                              np.array(n0), np.array(ntask), np.array(probs))
-            probs = probs.tolist()
+            # the crossover starts at the warm start, overfilled rows busy and scaled to 1
+            sums = [_row_sum(row) for row in probs]
+            start = [[p / t for p in row] if t > 1.0 else row for row, t in zip(probs, sums)]
+            probs, iterations = _crossover(
+                instance.gamma, instance.signals, np.array(c), np.array(n0), np.array(ntask),
+                np.array(probs) > 0.0, np.array(sums) > 1.0 + EPS_ZERO, np.array(start))
+            probs, path = probs.tolist(), "crossover"
 
     out = []
     for i in range(g):
@@ -744,7 +741,9 @@ def _allocate_small(instance: ProblemInstance) -> tuple[list[list[float]], str, 
 def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResult:
     """Equilibrium assignment probabilities for one allocation round.
 
-    Groups with identical cost vectors are merged, then the potential
+    Groups with identical cost vectors are merged, and the merged
+    round's size picks its code once: at most _SMALL_CELLS merged cells
+    (h x M) run in plain floats, more in array code.  Then the potential
     Phi (see the module docstring) is minimised:
 
     1. Each task goes to its cheapest group(s), everyone idling, and
@@ -755,17 +754,14 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
        the start, and which moves one constraint per step until a
        solution passes the test.  In every solve a busy group on one
        task is a constant load, and only the coupled cells are
-       unknowns.  With at most _SMALL_CELLS merged cells (g x M) it
-       starts at the warm start, the rows that overfill busy (path
+       unknowns.  A float round starts it at the warm start: the rows
+       that overfill are busy, each row above 1 scaled back to 1 (path
        "crossover").
-    3. With more cells, an interior-point method first runs on Phi until
+    3. An array round first runs an interior-point method on Phi until
        its mean complementarity is below _MU_POLISH per idle robot, or
        for _MAX_INTERIOR iterations, and the crossover starts at its
-       last iterate (path "interior").
-
-    Rounds of at most _SMALL_CELLS cells run step 1, its KKT test and
-    the row assembly in plain floats, bit-identical to the array code;
-    the merge and the search are shared.
+       last iterate, projected onto the crossover's face (path
+       "interior").
 
     Groups without idle robots get degenerate idle rows.  With `check`
     the returned strategy is certified by the independent oracle,
@@ -774,31 +770,34 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
     under half of a warm array round.  A caller that trusts the solver
     in a hot loop, as the simulation does, passes check=False.  The
     result's `path` says which step ended the round and `iterations`
-    counts its interior iterations plus crossover steps.  Raises AllocationError only if the crossover reaches
-    _MAX_CROSSOVER steps.
+    counts its interior iterations plus crossover steps.  Raises
+    AllocationError only if the crossover reaches _MAX_CROSSOVER steps.
     """
-    if instance.costs.size <= _SMALL_CELLS:
-        rows, path, iterations = _allocate_small(instance)
+    merged_idx, first = _merge_groups(instance.costs)
+    if len(first) * instance.n_tasks <= _SMALL_CELLS:
+        rows, path, iterations = _allocate_small(instance, merged_idx, first)
         probs = np.array(rows)
     else:
-        probs, path, iterations = _allocate_arrays(instance)
+        probs, path, iterations = _allocate_arrays(instance, merged_idx, first)
     strategy = MixedStrategy(probs)
     report = verify_equilibrium(instance, strategy) if check else None
     return AllocationResult(strategy, report, path, iterations)
 
 
-def _allocate_arrays(instance: ProblemInstance) -> tuple[np.ndarray, str, int]:
-    """allocate's round in array code; returns the (g, M+1) rows, the
-    path and the iteration count."""
+def _allocate_arrays(instance: ProblemInstance, merged_idx: list[int],
+                     first: list[int]) -> tuple[np.ndarray, str, int]:
+    """allocate's round in array code on the merged groups; returns the
+    (g, M+1) rows, the path and the iteration count."""
     gamma, s = instance.gamma, instance.signals
-    merged_idx, first = _merge_groups(instance.costs)
     c = instance.costs[first]
     n0 = np.bincount(merged_idx, instance.idle_counts)
     ntask = instance.task_totals.astype(float)
     probs_m = _warm_start(gamma, s, c, n0, ntask)
     path, iterations = "warm", 0
     if not _certified(1.0 - s - c, gamma, n0, ntask, probs_m):
-        probs_m, path, iterations = _search(gamma, s, c, n0, ntask, probs_m)
+        sup, busy, p, steps = _interior(gamma, s, c, n0, ntask)
+        probs_m, crossed = _crossover(gamma, s, c, n0, ntask, sup, busy, p)
+        path, iterations = "interior", steps + crossed
 
     # snap float dust within EPS_ZERO of 0 or 1 onto the bound
     rows = probs_m[merged_idx]

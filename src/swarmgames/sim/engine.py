@@ -289,9 +289,10 @@ def build_world(config: ScenarioConfig, seed: int | None = None) -> WorldState:
     return world
 
 
-def step(world: WorldState, config: ScenarioConfig, dt: float) -> WorldState:
-    """Advance the world by one step, in place, and return it."""
+def step(world: WorldState, config: ScenarioConfig) -> WorldState:
+    """Advance the world by one step of config.dt, in place, and return it."""
     dyn = world.dyn
+    dt = config.dt
     while world.pending_events and world.pending_events[0][0] <= world.step_index:
         _, _, event = world.pending_events.pop(0)
         dyn.apply_event(world, event)
@@ -380,7 +381,7 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunMetrics:
     metrics = world.metrics
     try:
         for _ in range(n_steps):
-            step(world, config, config.dt)
+            step(world, config)
             if world.failure:
                 break
     except AllocationError as exc:

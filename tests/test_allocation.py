@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -421,9 +421,13 @@ def test_allocate_hetero_idle_feasible():
 
 
 def unique_merge_probs(inst):
-    """allocate's array round up to the row assembly, as it was with the
-    merge by np.unique on a void view of the cost rows: the merged
-    groups' (h, M) task probabilities and each group's merged index."""
+    """allocate's round up to the row assembly, in array code at every
+    size and with the merge by np.unique on a void view of the cost rows
+    it once had: the merged groups' (h, M) task probabilities, each
+    group's merged index, the path and the iteration count.  A miss of
+    at most _SMALL_CELLS merged cells runs the crossover from the warm
+    start, its rows divided by np.maximum(mass, 1.0); a larger one runs
+    _interior, then the crossover."""
     costs, counts = inst.costs, inst.counts
     keys = np.ascontiguousarray(costs).view(np.dtype((np.void, costs.itemsize * costs.shape[1])))
     _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
@@ -434,17 +438,28 @@ def unique_merge_probs(inst):
     c, n0 = costs[first[order]], merged[:, 0].astype(float)
     gamma, s, ntask = inst.gamma, inst.signals, inst.task_totals.astype(float)
     probs_m = allocation._warm_start(gamma, s, c, n0, ntask)
+    path, iterations = "warm", 0
     if not allocation._certified(1.0 - s - c, gamma, n0, ntask, probs_m):
-        probs_m = allocation._search(gamma, s, c, n0, ntask, probs_m)[0]
-    return probs_m, merged_idx
+        if c.size <= allocation._SMALL_CELLS:
+            mass = probs_m.sum(axis=1)
+            probs_m, iterations = allocation._crossover(
+                gamma, s, c, n0, ntask, probs_m > 0.0, mass > 1.0 + EPS_ZERO,
+                probs_m / np.maximum(mass, 1.0)[:, None])
+            path = "crossover"
+        else:
+            sup, busy, p, steps = allocation._interior(gamma, s, c, n0, ntask)
+            probs_m, crossed = allocation._crossover(gamma, s, c, n0, ntask, sup, busy, p)
+            path, iterations = "interior", steps + crossed
+    return probs_m, merged_idx, path, iterations
 
 
 def unique_merge_round(inst):
     """allocate's array round as it was with the unique merge, and with
     the row assembly that snapped with two np.where passes and filled
     only the rows of groups with idle robots: the reference for
-    _merge_groups and the row assembly."""
-    probs_m, merged_idx = unique_merge_probs(inst)
+    _merge_groups and the row assembly.  Returns the (g, M+1) rows, the
+    path and the iteration count."""
+    probs_m, merged_idx, path, iterations = unique_merge_probs(inst)
     probs = np.zeros((inst.n_groups, inst.n_tasks + 1))
     probs[:, 0] = 1.0
     deciding = inst.idle_counts > 0
@@ -454,7 +469,7 @@ def unique_merge_round(inst):
     p0 = 1.0 - rows.sum(axis=1)
     probs[deciding, 0] = np.where(np.abs(p0) < EPS_ZERO, 0.0, p0)
     probs[deciding, 1:] = rows
-    return probs
+    return probs, path, iterations
 
 
 def test_merge_groups_pools_bit_identical_rows_in_first_appearance_order():
@@ -480,7 +495,7 @@ def test_merge_groups_matches_the_unique_merge(g, m, distinct):
                                np.round(rng.uniform(0.0, 1.0, m), 1), costs, counts)
         assert inst.costs.size > allocation._SMALL_CELLS
         result = allocate(inst, check=False)
-        assert np.array_equal(result.strategy.probs, unique_merge_round(inst))
+        assert np.array_equal(result.strategy.probs, unique_merge_round(inst)[0])
         paths.add(result.path)
         pooled += len(allocation._merge_groups(inst.costs)[1]) < g
     assert pooled >= 20 and paths - {"warm"}
@@ -510,7 +525,7 @@ def test_array_round_gives_groups_without_idle_robots_exact_idle_rows(g, m):
         result = allocate(inst)
         probs = result.strategy.probs
         assert result.report.valid
-        assert probs.tobytes() == unique_merge_round(inst).tobytes()
+        assert probs.tobytes() == unique_merge_round(inst)[0].tobytes()
         no_idle = inst.idle_counts == 0
         assert (probs[no_idle, 0] == 1.0).all() and (probs[no_idle, 1:] == 0.0).all()
         merged_idx = np.array(allocation._merge_groups(inst.costs)[0])
@@ -525,8 +540,8 @@ def test_array_round_snaps_dust_as_the_reference(g, m, draw):
     # within EPS_ZERO of 0 (162) or of 1 (228), an idle mass within
     # EPS_ZERO of 0 (217)
     *_, inst = idle_free_draws(g, m, draw + 1)
-    reference = unique_merge_round(inst)
-    probs_m, merged_idx = unique_merge_probs(inst)
+    reference = unique_merge_round(inst)[0]
+    probs_m, merged_idx, _, _ = unique_merge_probs(inst)
     deciding = inst.idle_counts > 0
     raw = probs_m[merged_idx[deciding]]
     assert not np.array_equal(np.column_stack([1.0 - raw.sum(axis=1), raw]), reference[deciding])
@@ -787,21 +802,37 @@ def test_warm_rounds_are_those_the_closed_form_fits(inst):
 def test_float_round_matches_array_round(inst):
     # Singleton draws often miss the warm start, so the hand-off from the
     # float warm start to the crossover is covered along with the hits.  A
-    # spurious miss would still reach the same equilibrium, so the paths
-    # and step counts must also agree, and neither side may reach the
-    # interior method, which only larger rounds run.
-    calls = []
-    interior = allocation._interior
+    # hit must match _allocate_arrays.  A miss must match the array
+    # reference, which starts the crossover at the warm start as the
+    # float round does (_allocate_arrays runs larger rounds only, and
+    # sends their misses through the interior method), from the same start
+    # bit for bit.  A spurious miss would still reach the same equilibrium,
+    # so the paths and step counts must also agree, and neither side may
+    # reach the interior method.
+    merged_idx, first = allocation._merge_groups(inst.costs)
+    calls, starts = [], []
+    interior, crossover = allocation._interior, allocation._crossover
+
+    def recording(*args):
+        starts.append(b"".join(a.tobytes() for a in args[5:]))  # sup, busy, p
+        return crossover(*args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(allocation, "_interior", lambda *a: calls.append(1) or interior(*a))
-        rows, path, iterations = allocation._allocate_small(inst)
-        arrays, array_path, array_iterations = allocation._allocate_arrays(inst)
+        mp.setattr(allocation, "_crossover", recording)
+        rows, path, iterations = allocation._allocate_small(inst, merged_idx, first)
+        if path == "warm":
+            arrays, array_path, array_iterations = allocation._allocate_arrays(
+                inst, merged_idx, first)
+        else:
+            arrays, array_path, array_iterations = unique_merge_round(inst)
     floats = np.array(rows)
     assert floats.tobytes() == arrays.tobytes()
     assert (verify_equilibrium(inst, MixedStrategy(floats))
             == verify_equilibrium(inst, MixedStrategy(arrays)))
     assert calls == []
     assert (path, iterations) == (array_path, array_iterations)
+    assert len(starts) in (0, 2) and len(set(starts)) <= 1
 
 
 # Reference: Gauss-Seidel best-response sweeps on the potential, each
@@ -1325,16 +1356,22 @@ def test_rounded_tie_rounds_certify():
                 assert result.iterations == 21
 
 
-@pytest.mark.parametrize("index, iterations, crossed", [pytest.param(207, 11, 3, id="207"),
-                                                        pytest.param(511, 12, 4, id="511")])
-def test_tied_gate_rounds_certify_in_a_few_crossover_steps(index, iterations, crossed):
-    # Draws of the g = 64 gate set (default_rng(7); per draw M =
-    # integers(4, 17), then a singleton round) whose interior iterates
-    # reach a pattern with a cycle: the crossover holds its cell at the
-    # start point, and a few steps from there certify.
+def gate_round(index):
+    """Draw `index` of the g = 64 gate set: from default_rng(7), per draw
+    M = integers(4, 17), then a singleton round."""
     rng = np.random.default_rng(7)
     for _ in range(index + 1):
         inst = singleton_round(rng, 64, int(rng.integers(4, 17)))
+    return inst
+
+
+@pytest.mark.parametrize("index, iterations, crossed", [pytest.param(207, 11, 3, id="207"),
+                                                        pytest.param(511, 12, 4, id="511")])
+def test_tied_gate_rounds_certify_in_a_few_crossover_steps(index, iterations, crossed):
+    # Gate draws whose interior iterates reach a pattern with a cycle: the
+    # crossover holds its cell at the start point, and a few steps from
+    # there certify.
+    inst = gate_round(index)
     with pytest.MonkeyPatch.context() as mp:
         steps = recording_crossover(mp)
         result = allocate(inst)
@@ -1363,54 +1400,22 @@ def test_crossover_finishes_from_a_far_start(inst, busy):
     assert np.all(np.abs(loads - sweep_loads(inst)) <= 2 * allocation._CERT_TOL * inst.gamma)
 
 
-@st.composite
-def drifted_starts(draw):
-    """A small round and a crossover start as the interior method leaves
-    it, with its rows off by rounding: every live cell positive, a random
-    support and busy set, busy rows and some idle-mode rows at mass 1 and
-    the other idle-mode rows below it, then each row's mass moved by
-    +-3e-7 and every cell off the support given 1e-9."""
-    inst = draw(small_rounds())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+@settings(max_examples=100, deadline=None)
+@given(instances(min_cells=allocation._SMALL_CELLS + 1))
+@example(gate_round(207))
+@example(gate_round(511))
+def test_interior_hands_the_crossover_a_start_on_its_face(inst):
+    # At mu's level the idle slack and the cells off the support still
+    # hold mass, so a busy row's support mass is off 1 (by 9e-7 to 3e-3
+    # per gate round, the worst row).  The hand-over projects the iterate
+    # onto the face the crossover requires: nothing off the support, busy
+    # rows (each with a supported cell) at 1, the others at most 1.
     c, n0, ntask = merged_round(inst)
-    g, m = c.shape
-    live = n0 > 0
-    sup = (rng.uniform(size=(g, m)) < rng.uniform(0.2, 0.8)) & live[:, None]
-    busy = (rng.uniform(size=g) < 0.5) & sup.any(axis=1)
-    full = busy | (rng.uniform(size=g) < 0.5)
-    p = np.where(sup, rng.uniform(0.1, 1.0, (g, m)), 0.0)
-    p /= np.where(sup.any(axis=1), p.sum(axis=1), 1.0)[:, None]
-    p[~full] *= rng.uniform(0.0, 1.0, (g, 1))[~full]
-    p *= 1.0 + rng.choice([-3e-7, 3e-7], (g, 1))
-    p[~sup & live[:, None]] = 1e-9
-    return inst, (c, n0, ntask), sup, busy, p
-
-
-@settings(max_examples=150, deadline=None)
-@given(drifted_starts())
-def test_crossover_rescales_a_drifted_start(case):
-    # The interior iterates drift off their row constraints (by up to
-    # 3.3e-7 on rounded draws), and the crossover, their only consumer,
-    # rescales its start: off the support to 0, busy rows to 1 and the
-    # other rows to at most 1.  An idle row held over 1 could neither fill
-    # nor certify.
-    inst, (c, n0, ntask), sup, busy, p = case
-    starts = []
-    solve = allocation._solve_modes
-
-    def recording(*args):
-        if not starts:
-            starts.append(np.array(args[7]))
-        return solve(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(allocation, "_solve_modes", recording)
-        probs, _ = allocation._crossover(inst.gamma, inst.signals, c, n0, ntask, sup.copy(),
-                                         busy.copy(), p.copy())
-    assert allocation._certified(1.0 - inst.signals - c, inst.gamma, n0, ntask, probs)
-    start = starts[0]
-    assert np.all(start[~sup] == 0.0)
-    mass = start.sum(axis=1)
+    assume(c.size > allocation._SMALL_CELLS)
+    sup, busy, p, _ = allocation._interior(inst.gamma, inst.signals, c, n0, ntask)
+    assert not sup[n0 == 0].any() and sup[busy].any(axis=1).all()
+    assert np.all(p[~sup] == 0.0) and np.all(p >= 0.0)
+    mass = p.sum(axis=1)
     assert np.all(np.abs(mass[busy] - 1.0) <= 1e-14)
     assert np.all(mass[~busy] <= 1.0 + 1e-14)
 
@@ -1445,6 +1450,32 @@ def test_allocate_reports_its_path():
     # start busy, and the second solve certifies once group 1 joins the third task
     cycle = allocate(MONITORING_CYCLE)
     assert (cycle.path, cycle.iterations) == ("crossover", 2)
+
+
+def test_a_round_that_merges_to_few_cells_runs_in_floats():
+    # MONITORING_CYCLE with each group repeated 20 times (400 cells) and
+    # the robots on the first copies only: its 20 merged cells are sized
+    # for the float round, which misses the warm start as
+    # MONITORING_CYCLE does and never runs the interior method
+    copies = 20
+    counts = np.zeros((4 * copies, 6), dtype=np.int64)
+    counts[::copies] = MONITORING_CYCLE.counts
+    inst = ProblemInstance(MONITORING_CYCLE.gamma, MONITORING_CYCLE.signals,
+                           np.repeat(MONITORING_CYCLE.costs, copies, axis=0), counts)
+    small, interior = [], []
+    allocate_small, run_interior = allocation._allocate_small, allocation._interior
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(allocation, "_allocate_small", lambda *a: small.append(1) or allocate_small(*a))
+        mp.setattr(allocation, "_interior", lambda *a: interior.append(1) or run_interior(*a))
+        result = allocate(inst)
+    assert (small, interior) == ([1], [])
+    assert (result.path, result.iterations) == ("crossover", 2)
+    assert result.report.valid
+    # each first copy gets its group's row; the copies without robots idle
+    expected = np.zeros((4 * copies, 6))
+    expected[:, 0] = 1.0
+    expected[::copies] = allocate(MONITORING_CYCLE).strategy.probs
+    assert result.strategy.probs.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

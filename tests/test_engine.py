@@ -188,7 +188,7 @@ def test_colony_events_fire_on_schedule():
     world = build_world(cfg, seed=4)
     rows = []
     for _ in range(2310):
-        step(world, cfg, cfg.dt)
+        step(world, cfg)
         rows.append(world.metrics.rows[-1])
     # cargo lands during the step that starts at t = 120.0
     assert rows[1199][3] == 0
@@ -206,7 +206,7 @@ def test_removal_keeps_cargo_accounted():
     cfg = colony_default()
     world = build_world(cfg, seed=4)
     for _ in range(2400):
-        step(world, cfg, cfg.dt)
+        step(world, cfg)
     in_transit = sum(1 for r in world.robots if r.payload == "cargo")
     dyn = world.dyn
     assert dyn.depot_stock + in_transit + dyn.delivered_cargo == dyn.injected_cargo
@@ -220,7 +220,7 @@ def test_colony_signals_stay_in_unit_interval():
     cfg = colony_default()
     world = build_world(cfg, seed=9)
     for _ in range(1500):
-        step(world, cfg, cfg.dt)
+        step(world, cfg)
         assert all(0.0 <= s <= 1.0 for s in world.signals)
 
 
@@ -229,7 +229,7 @@ def test_hysteresis_only_idle_transitions():
     world = build_world(cfg, seed=8)
     before = {r.id: r.assigned_task for r in world.robots}
     for _ in range(2000):
-        step(world, cfg, cfg.dt)
+        step(world, cfg)
         for robot in world.robots:
             old = before[robot.id]
             new = robot.assigned_task
@@ -241,7 +241,7 @@ def test_colony_behavior_state_machine_invariants():
     cfg = colony_default()
     world = build_world(cfg, seed=7)
     for _ in range(1500):
-        step(world, cfg, cfg.dt)
+        step(world, cfg)
         for robot in world.robots:
             assert robot.behavior in COLONY_BEHAVIORS
             if robot.payload is not None:
@@ -292,7 +292,7 @@ def test_monitoring_information_bounds_and_release():
     world = build_world(cfg, seed=2)
     drained = False
     for _ in range(600):
-        step(world, cfg, cfg.dt)
+        step(world, cfg)
         for value in world.dyn.R:
             assert -1e-12 <= value <= cfg.monitoring.R_max + 1e-12
         for robot in world.robots:

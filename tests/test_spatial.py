@@ -134,7 +134,7 @@ def test_reused_neighbor_lists_match_a_fresh_sweep(seed, between_steps):
     filter_velocity = engine.filter_velocity
     engine.filter_velocity = recording_filter
     try:
-        step(world, config, config.dt)
+        step(world, config)
         for change in between_steps:
             if change == "remove":
                 world.dyn.apply_event(world, Event(time=0.0, kind="robot_removal", amount=1))
@@ -145,7 +145,7 @@ def test_reused_neighbor_lists_match_a_fresh_sweep(seed, between_steps):
                 robot.y += dy
             positions = [(r.x, r.y) for r in world.robots]
             del seen[:]
-            step(world, config, config.dt)
+            step(world, config)
             fresh, _ = neighbor_sweep(positions, world.swept[1])
             assert seen == [(p, [positions[j] for j in nbrs])
                             for p, nbrs in zip(positions, fresh)]
