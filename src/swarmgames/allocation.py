@@ -26,15 +26,16 @@ over x >= 0 with sum_k x_ik <= n_0^i: the optimality conditions of that
 problem are the equilibrium conditions.  `allocate` first tries a
 closed-form warm start.  When that fails the KKT test it searches for
 the equilibrium support; every round ends in one solve of the
-equilibrium equations on a support pattern.  A busy group (one whose
-idle action is out of the support) with a single supported task puts its
-whole mass there.  Each other cell of a busy group joins it to a task,
-and with the tasks that idle-mode groups pin as one root, those cells
-form a graph.  On a forest the equations are triangular and are solved
-by substitution.  Mass moved around a cycle changes no row sum or load,
-so a solve holds each cell that closes one at the current point and
-reports the slope of Phi around it.  There is one search, with two
-starts:
+equilibrium equations on a support pattern, and the rows it returns
+are the point that passed the KKT test, float dust included.  A busy
+group (one whose idle action is out of the support) with a single
+supported task puts its whole mass there.  Each other cell of a busy
+group joins it to a task, and with the tasks that idle-mode groups pin
+as one root, those cells form a graph.  On a forest the equations are
+triangular and are solved by substitution.  Mass moved around a cycle
+changes no row sum or load, so a solve holds each cell that closes one
+at the current point and reports the slope of Phi around it.  There is
+one search, with two starts:
 
 - The search is a crossover (Megiddo 1991): a primal active-set method
   on Phi.  Its first step solves the start point's pattern, and the
@@ -81,7 +82,6 @@ of numpy calls whatever g and M.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 
@@ -99,13 +99,12 @@ __all__ = [
     "MixedStrategy",
     "EquilibriumReport",
     "AllocationResult",
-    "assignment_cdf",
     "draw_action",
     "allocate",
     "verify_equilibrium",
 ]
 
-EPS_ZERO = 1e-12  # support membership and snap-to-bound tolerance
+EPS_ZERO = 1e-12  # support membership and probability range tolerance
 EPS_EQ = 1e-8     # accepted expected-utility residual in the oracle
 EPS_SUM = 1e-9    # accepted row-normalization error
 
@@ -236,6 +235,9 @@ class AllocationResult:
     start), "crossover" (the crossover from the warm start) or "interior"
     (the interior-point method and the crossover from its last iterate),
     and `iterations` counts interior iterations plus crossover steps.
+    The strategy's rows are the point the round's KKT test passed, float
+    dust included: each group's task probabilities, its idle mass 1
+    minus their sum.
     """
 
     strategy: MixedStrategy
@@ -248,34 +250,18 @@ class AllocationResult:
 # sampling
 
 
-def assignment_cdf(strategy: MixedStrategy, i: int) -> tuple[list[float], int]:
-    """Group i's inverse-CDF table for `draw_action`.
-
-    The edges are the running maximum of the cumulative probabilities of
-    actions 0..M, so they ascend even if float dust makes a probability
-    negative, and the first edge above u is the first cumulative sum
-    above u.  The second entry is the last action with positive
-    probability, the draw for a u past every edge.
-    """
-    edges = []
+def draw_action(row: list[float], u: float) -> int:
+    """The first action whose running sum of the row exceeds u, else the
+    last action with positive probability (u fell into rounding dust)."""
     acc = 0.0
-    top = -math.inf
     last_positive = 0
-    for a, p in enumerate(strategy.probs[i].tolist()):
+    for a, p in enumerate(row):
         if p > 0.0:
             last_positive = a
         acc += p
-        if acc > top:
-            top = acc
-        edges.append(top)
-    return edges, last_positive
-
-
-def draw_action(cdf: tuple[list[float], int], u: float) -> int:
-    """The first action whose cumulative probability exceeds u."""
-    edges, last_positive = cdf
-    a = bisect.bisect_right(edges, u)
-    return a if a < len(edges) else last_positive  # u fell into rounding dust
+        if u < acc:
+            return a
+    return last_positive
 
 
 # ---------------------------------------------------------------------------
@@ -729,10 +715,8 @@ def _allocate_small(instance: ProblemInstance, merged_idx: list[int],
     out = []
     for i in range(g):
         if counts[i][0] > 0:
-            row = [0.0 if abs(p) < EPS_ZERO else 1.0 if abs(p - 1.0) < EPS_ZERO else p
-                   for p in probs[merged_idx[i]]]
-            p0 = 1.0 - _row_sum(row)
-            out.append([0.0 if abs(p0) < EPS_ZERO else p0, *row])
+            row = probs[merged_idx[i]]
+            out.append([1.0 - _row_sum(row), *row])
         else:
             out.append([1.0] + [0.0] * m)
     return out, path, iterations
@@ -763,6 +747,8 @@ def allocate(instance: ProblemInstance, *, check: bool = True) -> AllocationResu
        last iterate, projected onto the crossover's face (path
        "interior").
 
+    Each group's row is the point the KKT test passed, as it is: dust
+    within EPS_ZERO of a bound stays, inside the oracle's tolerances.
     Groups without idle robots get degenerate idle rows.  With `check`
     the returned strategy is certified by the independent oracle,
     verify_equilibrium: a fixed set of numpy calls on (g, M+1) arrays,
@@ -799,13 +785,8 @@ def _allocate_arrays(instance: ProblemInstance, merged_idx: list[int],
         probs_m, crossed = _crossover(gamma, s, c, n0, ntask, sup, busy, p)
         path, iterations = "interior", steps + crossed
 
-    # snap float dust within EPS_ZERO of 0 or 1 onto the bound
     rows = probs_m[merged_idx]
-    rows[np.abs(rows) < EPS_ZERO] = 0.0
-    rows[np.abs(rows - 1.0) < EPS_ZERO] = 1.0
-    p0 = 1.0 - rows.sum(axis=1)
-    p0[np.abs(p0) < EPS_ZERO] = 0.0
-    probs = np.column_stack([p0, rows])
+    probs = np.column_stack([1.0 - rows.sum(axis=1), rows])
     no_idle = instance.idle_counts == 0
     if no_idle.any():
         probs[no_idle] = 0.0

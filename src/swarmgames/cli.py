@@ -129,8 +129,8 @@ def _entries(value):
 def write_strategy_csv(strategy, path: str) -> None:
     """Rows `group,action,probability`, groups 1-based, action 0 = idle.
 
-    Zero-probability actions are omitted; every group keeps at least
-    one row.
+    Actions with probability at most EPS_ZERO, float dust included, are
+    left out; every group keeps at least one row.
     """
     def writer(tmp):
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:

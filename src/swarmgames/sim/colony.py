@@ -46,21 +46,14 @@ class ColonyRobot(RobotState):
     memory: tuple | None = None     # last successful source position
 
 
-def colony_energy_step(E_c: float, deliveries: int, charges: float,
-                       dt: float, E_drain: float = 0.1, E_source: float = 4.0) -> float:
-    """Colony store after one step: constant leakage, plus deliveries,
-    minus the energy handed to charging robots (`charges` in J)."""
-    return E_c - E_drain * dt + deliveries * E_source - charges
+def colony_energy_step(E_c: float, dt: float, E_drain: float) -> float:
+    """Colony store after one step of constant leakage."""
+    return E_c - E_drain * dt
 
 
-def robot_energy_step(E_robot: float, speed: float, charging: bool,
-                      dt: float, v_max: float, E_drain: float = 0.1) -> float:
-    """Robot motion deficit: drains with speed, snaps to zero on charge.
-
-    The restored amount is drawn from the colony by the caller.
-    """
-    if charging:
-        return 0.0
+def robot_energy_step(E_robot: float, speed: float, dt: float, v_max: float,
+                      E_drain: float) -> float:
+    """Robot motion deficit after one step: drains with speed."""
     return E_robot - MOTION_DRAIN_FACTOR * E_drain * (speed / v_max) * dt
 
 
@@ -78,7 +71,7 @@ def _project_annulus(x: float, y: float, inner: float, outer: float) -> tuple:
 
 
 def random_walk_step(robot: ColonyRobot, h: float, domain: tuple,
-                     rng: random.Random, arrive_radius: float = 0.5) -> ColonyRobot:
+                     rng: random.Random, arrive_radius: float) -> ColonyRobot:
     """Keep a walking robot supplied with a target inside the annulus.
 
     Draws a fresh heading when the robot has no target or has reached
@@ -197,7 +190,7 @@ class ColonyDynamics:
             self.flow_removal += -robot.energy_used
 
     def integrate(self, world, dt):
-        self.E_c = colony_energy_step(self.E_c, 0, 0.0, dt, self.p.E_drain, self.p.E_source)
+        self.E_c = colony_energy_step(self.E_c, dt, self.p.E_drain)
         self.flow_drain += self.p.E_drain * dt
 
     def signals(self, world):
@@ -311,8 +304,7 @@ class ColonyDynamics:
     def _finish_at_base(self, robot):
         """Completion at the colony: recharge from the store and go idle."""
         self.E_c += robot.energy_used  # energy_used <= 0: the store repays it
-        robot.energy_used = robot_energy_step(robot.energy_used, 0.0, True,
-                                              0.0, self.config.v_max)
+        robot.energy_used = 0.0
         robot.payload = None
         robot.assigned_task = 0
         robot.behavior = IDLE_AT_BASE
@@ -336,8 +328,8 @@ class ColonyDynamics:
 
     def post_move(self, world, robot, speed, dt):
         before = robot.energy_used
-        robot.energy_used = robot_energy_step(before, speed, False, dt,
-                                              self.config.v_max, self.p.E_drain)
+        robot.energy_used = robot_energy_step(before, speed, dt, self.config.v_max,
+                                              self.p.E_drain)
         self.flow_motion += before - robot.energy_used
 
     def check_conservation(self, world):

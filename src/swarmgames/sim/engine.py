@@ -5,6 +5,8 @@ signal-state dynamics integrate one explicit-Euler step, task signals
 are recomputed, idle robots sample fresh assignments from an
 equilibrium allocation round, behavior state machines produce reference
 velocities, the safety filter clips them, and positions integrate.
+Each idle robot draws its action with `draw_action` straight from its
+group's row of the round's strategy, the point the solver certified.
 Robots already on a task never re-sample (assignments change only
 idle -> task via sampling or task -> idle on completion or removal).
 
@@ -81,7 +83,7 @@ import dataclasses
 import math
 import random
 
-from ..allocation import AllocationError, allocate, assignment_cdf, draw_action
+from ..allocation import AllocationError, allocate, draw_action
 from ..cbf import VelocityQP, filter_velocity
 from ..scenarios import ScenarioConfig
 
@@ -138,7 +140,6 @@ class RunMetrics:
     """
 
     columns: tuple
-    dt: float
     rows: list = dataclasses.field(default_factory=list)
     deadlock_flags: list = dataclasses.field(default_factory=list)
     deadlock_robot_steps: int = 0
@@ -273,7 +274,7 @@ def build_world(config: ScenarioConfig, seed: int | None = None) -> WorldState:
     pending = sorted(
         ((round(e.time / config.dt), seq, e) for seq, e in enumerate(config.events)),
         key=lambda item: (item[0], item[1]))
-    metrics = RunMetrics(columns=dyn.columns, dt=config.dt)
+    metrics = RunMetrics(columns=dyn.columns)
     world = WorldState(
         clock=0.0,
         step_index=0,
@@ -303,14 +304,9 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
     idle = [r for r in world.robots if r.assigned_task == 0]
     if idle:
         instance, row_of = dyn.build_instance(world)
-        strategy = allocate(instance, check=False).strategy
-        cdfs = {}
+        rows = allocate(instance, check=False).strategy.probs.tolist()
         for robot in idle:
-            row = row_of[robot.id]
-            cdf = cdfs.get(row)
-            if cdf is None:
-                cdf = cdfs[row] = assignment_cdf(strategy, row)
-            action = draw_action(cdf, world.rng_assign[robot.id].random())
+            action = draw_action(rows[row_of[robot.id]], world.rng_assign[robot.id].random())
             if action:
                 robot.assigned_task = action
 

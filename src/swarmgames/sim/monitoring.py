@@ -22,7 +22,7 @@ SERVICE_NODE = "ServiceNode"
 
 
 def node_information_step(R_k: float, robots_in_range: int, dt: float,
-                          A: float = 0.75, B: float = 2.0, R_max: float = 1.0) -> float:
+                          A: float, B: float, R_max: float) -> float:
     """Node information: accumulates at A, drains at B per servicing robot."""
     value = R_k + (A - B * robots_in_range) * dt
     if value < 0.0:

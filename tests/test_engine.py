@@ -28,61 +28,80 @@ COLONY_BEHAVIORS = {
 
 
 def test_colony_energy_leak_only():
-    assert colony_energy_step(50.0, 0, 0.0, 0.1) == pytest.approx(49.99, abs=1e-15)
+    assert colony_energy_step(50.0, 0.1, 0.1) == pytest.approx(49.99, abs=1e-15)
+
+
+def arrive_home(task, payload, energy_used):
+    """A colony whose robot 0 steps inside the colony disk on its way
+    home from task 1 or 2 with payload and a motion deficit: returns the
+    dynamics, the robot and the store before the step."""
+    cfg = colony_default()
+    world = build_world(cfg, seed=0)
+    robot = world.robots[0]
+    robot.x, robot.y = 0.0, 0.0
+    robot.assigned_task, robot.behavior = task, RETURN_HOME
+    robot.payload, robot.energy_used = payload, energy_used
+    dyn = world.dyn
+    before = dyn.E_c
+    assert dyn.behave(world, robot, cfg.dt) == (0.0, 0.0)
+    return dyn, robot, before
 
 
 def test_colony_energy_delivery_adds_source_energy():
-    assert colony_energy_step(50.0, 1, 0.0, 0.1) == pytest.approx(53.99, abs=1e-15)
+    dyn, _, before = arrive_home(1, 0, 0.0)
+    assert dyn.E_c == before + dyn.p.E_source
 
 
 def test_colony_energy_charge_withdraws():
-    assert colony_energy_step(50.0, 0, 2.5, 0.1) == pytest.approx(47.49, abs=1e-15)
+    dyn, _, before = arrive_home(2, "cargo", -2.5)
+    assert dyn.E_c == before - 2.5
 
 
 def test_robot_energy_full_speed_drain():
     # one second at v_max costs a tenth of the colony leak rate
-    assert robot_energy_step(0.0, 1.0, False, 1.0, 1.0) == pytest.approx(-0.01, abs=1e-16)
+    assert robot_energy_step(0.0, 1.0, 1.0, 1.0, 0.1) == pytest.approx(-0.01, abs=1e-16)
 
 
 def test_robot_energy_stationary_robot_keeps_level():
-    assert robot_energy_step(-0.5, 0.0, False, 0.1, 1.0) == -0.5
+    assert robot_energy_step(-0.5, 0.0, 0.1, 1.0, 0.1) == -0.5
 
 
 def test_robot_energy_charging_resets():
-    assert robot_energy_step(-0.73, 0.0, True, 0.1, 1.0) == 0.0
+    _, robot, _ = arrive_home(2, "cargo", -0.73)
+    assert robot.energy_used == 0.0 and robot.behavior == IDLE_AT_BASE
 
 
 def test_node_information_accumulates():
-    assert node_information_step(0.5, 0, 0.1) == pytest.approx(0.575, abs=1e-15)
+    assert node_information_step(0.5, 0, 0.1, 0.75, 2.0, 1.0) == pytest.approx(0.575, abs=1e-15)
 
 
 def test_node_information_drains_per_robot():
-    assert node_information_step(1.0, 1, 0.1) == pytest.approx(0.875, abs=1e-15)
+    assert node_information_step(1.0, 1, 0.1, 0.75, 2.0, 1.0) == pytest.approx(0.875, abs=1e-15)
 
 
 def test_node_information_clamps_both_ends():
-    assert node_information_step(0.05, 2, 0.1) == 0.0
-    assert node_information_step(0.99, 0, 0.1) == 1.0
+    assert node_information_step(0.05, 2, 0.1, 0.75, 2.0, 1.0) == 0.0
+    assert node_information_step(0.99, 0, 0.1, 0.75, 2.0, 1.0) == 1.0
 
 
 def test_random_walk_draws_target_at_leg_distance():
     robot = ColonyRobot(id=0, x=10.0, y=0.0)
     mirror = random.Random("walk-test")
     theta = mirror.uniform(0.0, 2.0 * math.pi)
-    random_walk_step(robot, 5.0, (5.0, 30.0), random.Random("walk-test"))
+    random_walk_step(robot, 5.0, (5.0, 30.0), random.Random("walk-test"), 0.5)
     assert robot.target == pytest.approx(
         (10.0 + 5.0 * math.cos(theta), 5.0 * math.sin(theta)), abs=1e-12)
 
 
 def test_random_walk_keeps_distant_target():
     robot = ColonyRobot(id=0, x=10.0, y=0.0, target=(20.0, 0.0))
-    random_walk_step(robot, 5.0, (5.0, 30.0), random.Random(1))
+    random_walk_step(robot, 5.0, (5.0, 30.0), random.Random(1), 0.5)
     assert robot.target == (20.0, 0.0)
 
 
 def test_random_walk_redraws_on_arrival():
     robot = ColonyRobot(id=0, x=10.0, y=0.0, target=(10.2, 0.0))
-    random_walk_step(robot, 5.0, (5.0, 30.0), random.Random(2))
+    random_walk_step(robot, 5.0, (5.0, 30.0), random.Random(2), 0.5)
     assert robot.target != (10.2, 0.0)
     dist = math.hypot(robot.target[0] - 10.0, robot.target[1])
     assert dist == pytest.approx(5.0, abs=1e-12)
@@ -94,7 +113,7 @@ def test_random_walk_projects_target_into_annulus():
         robot = ColonyRobot(id=0, x=x, y=0.0)
         for _ in range(40):
             robot.target = None
-            random_walk_step(robot, 5.0, (5.0, 30.0), rng)
+            random_walk_step(robot, 5.0, (5.0, 30.0), rng, 0.5)
             norm = math.hypot(*robot.target)
             assert 5.0 - 1e-9 <= norm <= 30.0 + 1e-9
 
