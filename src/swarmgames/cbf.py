@@ -23,15 +23,21 @@ once per robot per timestep and sits on the simulation's hot path, so
 Most calls end in the pass-through, where the speed-clipped reference
 satisfies every row; `filter_velocity` tests that row by row inline,
 with the same arithmetic as the row builder, and builds the rows only
-when one is violated.
+when one is violated.  For a large swarm, `pass_through` runs that test
+for every robot at once in numpy, in the same arithmetic and order, over
+the neighbour pairs as arrays; only the robots it flags need
+`filter_velocity`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from itertools import chain
 
-__all__ = ["VelocityQP", "filter_velocity", "N_FACETS"]
+import numpy as np
+
+__all__ = ["VelocityQP", "filter_velocity", "pass_through", "N_FACETS"]
 
 N_FACETS = 16
 _FACET_SCALE = math.cos(math.pi / N_FACETS)
@@ -166,3 +172,39 @@ def filter_velocity(qp: VelocityQP):
     if best is None:
         return (0.0, 0.0), True
     return best, False
+
+
+def pass_through(v_refs, positions, src, dst, v_max, r, R_o, alpha=1.0, alpha_c=1.0):
+    """`filter_velocity`'s pass-through test for a whole swarm at once.
+
+    `v_refs` holds each robot's reference velocity and `positions` is
+    an (n, 2) array of positions relative to the domain centre; robot
+    src[k] has robot dst[k] as a neighbour.  Returns the speed-clipped
+    references, as `filter_velocity` clips them, and a bool array that
+    flags each robot whose clipped reference leaves its containment row
+    or one of its neighbour rows violated by more than _TOL.  The rows
+    are evaluated with `filter_velocity`'s arithmetic in its order, so a
+    robot is flagged exactly when its `filter_velocity` call would
+    build the rows; an unflagged robot's filtered velocity is its
+    clipped reference, with no deadlock.
+    """
+    clipped = []
+    for vx, vy in v_refs:
+        # math.hypot, not np.hypot: the two round apart on some inputs
+        speed = math.hypot(vx, vy)
+        if speed > v_max:
+            scale = v_max / speed
+            clipped.append((vx * scale, vy * scale))
+        else:
+            clipped.append((vx, vy))
+    ref = np.fromiter(chain.from_iterable(clipped), float, 2 * len(clipped)).reshape(-1, 2)
+    cx, cy = ref[:, 0], ref[:, 1]
+    px, py = positions[:, 0], positions[:, 1]
+    flagged = 2.0 * px * cx + 2.0 * py * cy - alpha * (R_o * R_o - (px * px + py * py)) > _TOL
+    dx = px[src] - px[dst]
+    dy = py[src] - py[dst]
+    dd = dx * dx + dy * dy
+    gap = (-dx * cx[src] + -dy * cy[src]
+           - (0.5 * alpha_c * (dd - r * r) - 0.5 * v_max * np.sqrt(dd)))
+    flagged[src[gap > _TOL]] = True
+    return clipped, flagged

@@ -15,30 +15,43 @@ Determinism: every random draw comes from a named stream seeded as
 loops run in robot-id order, so a (scenario, seed) pair fully fixes the
 run down to the last bit.
 
-Spatial queries are x-sorted sweeps (sort and sweep, as in the
-I-COLLIDE broad phase).  Points are sorted by x; each point scans
-forward and stops once the x gap alone rules a pair out, so a sweep
-costs about n log n plus the pairs that overlap in x instead of n^2.
-One sweep runs per step, `neighbor_sweep` on the post-move positions:
+Spatial queries sort by x (sort and sweep, as in the I-COLLIDE broad
+phase): a pair whose x gap alone exceeds the cutoff is never tested,
+so a pass costs about n log n plus the pairs that overlap in x instead
+of n^2.  One pass runs per step, on the post-move positions, and it
+gives the step's `min_dist` and the next step's neighbours.
 
-- It returns the neighbour lists.  The stop test is dx*dx > cutoff^2,
-  which implies dx*dx + dy*dy > cutoff^2 in floating point too.  Each
-  list is sorted back into ascending robot id, the order an all-pairs
+- Neighbours are the pairs with dx*dx + dy*dy <= cutoff^2.  Each
+  robot's neighbours are in ascending robot id, the order an all-pairs
   loop gives, because the filter enumerates candidate vertices in
   neighbour order and ties between equally near candidates go to the
   first one.
-- The lists serve the next step's filter: robots do not move between
+- The next step's filter reuses them, since robots do not move between
   one step's end and the next step's filter.  They are reused only
   when the positions the filter sees equal the swept ones, value by
   value, and the cutoff is the same.  A run's first step, a removal
   event, or a caller that moves robots between steps gets a fresh
-  sweep.
-- It returns `min_dist`, measured on post-move positions.  The minimum
-  is taken with `** 2`, as `min_pair_distance` and the min_dist column
-  always have, not with a product: the two can differ in the last bit.
-  Only the neighbour pairs are evaluated; a skipped pair lies at least
-  the cutoff apart, so when no pair lies clearly inside the cutoff the
-  sweep falls back to `min_pair_distance` over all points.
+  pass.
+- `min_dist` is taken with `** 2`, as `min_pair_distance` and the
+  min_dist column always have, not with a product: the two can differ
+  in the last bit.  Only the neighbour pairs are evaluated; a skipped
+  pair lies at least the cutoff apart, so when no pair lies clearly
+  inside the cutoff the pass falls back to `min_pair_distance` over
+  all points.
+
+Below `_NUMPY_PAIRS` robots (every built-in default) the pass is
+`neighbor_sweep`, a Python sweep that stops each point's scan once
+dx*dx > cutoff^2, and each robot calls `filter_velocity`.  At or above
+it the pass is `neighbor_pairs` in numpy.  That sorts by x, takes each
+point's candidates from a `searchsorted` window widened by a margin,
+keeps the pairs that pass the exact test as directed pairs sorted by
+(robot, neighbour), and takes the minimum in products, then rechecks
+the pairs within a relative 1e-14 of it with `** 2`.  The filter then
+runs `cbf.pass_through` on those arrays: one batched test of every
+robot's rows at its speed-clipped reference.  Only the robots it flags
+call `filter_velocity`; the rest keep their clipped reference.  Both
+paths give the same bits; numpy's fixed cost per call outweighs the
+Python loops below about 36 robots at colony density.
 
 An AllocationError ends a run as ALLOCATION_FAILED (`run`), with the
 steps completed before it kept in the metrics.
@@ -82,9 +95,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from itertools import chain
+
+import numpy as np
 
 from ..allocation import AllocationError, allocate, draw_action
-from ..cbf import VelocityQP, filter_velocity
+from ..cbf import VelocityQP, filter_velocity, pass_through
 from ..scenarios import ScenarioConfig
 
 __all__ = [
@@ -96,6 +112,7 @@ __all__ = [
     "RunMetrics",
     "toward",
     "neighbor_sweep",
+    "neighbor_pairs",
     "min_pair_distance",
     "build_world",
     "step",
@@ -108,6 +125,8 @@ ALLOCATION_FAILED = "AllocationError"
 
 # a squared distance below cutoff_sq * _INSIDE is clearly inside the cutoff
 _INSIDE = 1.0 - 1e-9
+# robots at or above which a step's spatial pass and filter run in numpy
+_NUMPY_PAIRS = 40
 
 
 @dataclasses.dataclass(slots=True)
@@ -178,7 +197,7 @@ class WorldState:
     metrics: RunMetrics
     dyn: object
     failure: str | None = None
-    swept: tuple | None = None      # (positions, cutoff_sq, neighbour lists) of the last sweep
+    swept: tuple | None = None      # (positions, cutoff_sq, neighbours) of the last closing pass
 
 
 def toward(robot: RobotState, tx: float, ty: float, dt: float, v_max: float) -> tuple:
@@ -236,6 +255,55 @@ def neighbor_sweep(points: list, cutoff_sq: float) -> tuple[list, float]:
     return lists, min_pair_distance(points)
 
 
+def neighbor_pairs(points: list, cutoff_sq: float) -> tuple:
+    """`neighbor_sweep` in numpy: the neighbour pairs as arrays, and `min_dist`.
+
+    Returns (xy, src, dst, min_dist): the points as an (n, 2) array, and
+    every ordered pair (src[k], dst[k]) with dx*dx + dy*dy <= cutoff_sq,
+    sorted by (src, dst), so that dst[src == i] is `neighbor_sweep`'s
+    list i.  min_dist equals `neighbor_sweep`'s.
+    """
+    n = len(points)
+    xy = np.fromiter(chain.from_iterable(points), float, 2 * n).reshape(n, 2)
+    x, y = xy[:, 0], xy[:, 1]
+    order = np.argsort(x, kind="stable")
+    sx = x[order]
+    # a pair the exact test admits has its rounded dx at most
+    # sqrt(cutoff_sq), or dx*dx below the normal range (|dx| < 1.5e-154);
+    # the relative term covers dx's own rounding, and sx + reach cannot
+    # round below a float that it exceeds
+    reach = math.sqrt(cutoff_sq) * (1.0 + 1e-9) + 1e-150
+    a = np.arange(n)
+    ahead = np.searchsorted(sx, sx + reach, side="right") - a - 1
+    # the candidates (a, b) in sorted order, b = a + 1, ..., a + ahead[a]
+    first = np.repeat(a, ahead)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(ahead) - ahead, ahead)
+    i = order[first]
+    j = order[second]
+    dx = x[i] - x[j]
+    dy = y[i] - y[j]
+    dd = dx * dx + dy * dy
+    near = dd <= cutoff_sq
+    i, j, dd = i[near], j[near], dd[near]
+    src = np.concatenate((i, j))
+    dst = np.concatenate((j, i))
+    by = np.argsort(src * n + dst, kind="stable")
+    src, dst = src[by], dst[by]
+    best = math.inf
+    if len(dd):
+        # the `** 2` minimum is within an ulp or two of the product one;
+        # the absolute term covers squares that round to subnormals
+        tight = np.flatnonzero(dd <= dd.min() * (1.0 + 1e-14) + 1e-300)
+        for u, v in zip(i[tight].tolist(), j[tight].tolist()):
+            xu, yu = points[u]
+            xv, yv = points[v]
+            best = min(best, (xu - xv) ** 2 + (yu - yv) ** 2)
+    # the same fallback as neighbor_sweep's, for the same reason
+    if best < cutoff_sq * _INSIDE:
+        return xy, src, dst, math.sqrt(best)
+    return xy, src, dst, min_pair_distance(points)
+
+
 def min_pair_distance(points: list) -> float:
     """Smallest distance between two of the points; inf below two points."""
     n = len(points)
@@ -256,6 +324,15 @@ def min_pair_distance(points: list) -> float:
             if dd < best:
                 best = dd
     return math.sqrt(best)
+
+
+def _spatial_pass(points: list, cutoff_sq: float) -> tuple:
+    """(swept record, min_dist): neighbour lists below the gate, pair arrays at or above it."""
+    if len(points) < _NUMPY_PAIRS:
+        neighbors, min_dist = neighbor_sweep(points, cutoff_sq)
+    else:
+        *neighbors, min_dist = neighbor_pairs(points, cutoff_sq)
+    return (points, cutoff_sq, neighbors), min_dist
 
 
 # ---------------------------------------------------------------------------
@@ -318,20 +395,34 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
     # pair from crossing the whole cutoff in one step at higher v_max
     cutoff = max(4.0 * config.r, 2.0 * config.v_max * dt + 2.0 * config.r)
     cutoff_sq = cutoff * cutoff
-    # the last step's closing sweep holds for these positions unless a
+    # the last step's closing pass holds for these positions unless a
     # removal or an outside change moved them since
     swept = world.swept
-    if swept is not None and swept[1] == cutoff_sq and swept[0] == positions:
-        neighbors = swept[2]
-    else:
-        neighbors = neighbor_sweep(positions, cutoff_sq)[0]
+    if swept is None or swept[1] != cutoff_sq or swept[0] != positions:
+        swept = _spatial_pass(positions, cutoff_sq)[0]
 
     cx, cy = dyn.domain_center
-    relative = [(x - cx, y - cy) for x, y in positions]
     limits = (config.v_max, config.r, dyn.domain_radius, config.alpha, config.alpha_c)
-    for i, robot in enumerate(world.robots):
-        qp = VelocityQP(v_refs[i], relative[i], [relative[j] for j in neighbors[i]], *limits)
-        (vx, vy), deadlock = filter_velocity(qp)
+    if n < _NUMPY_PAIRS:
+        neighbors = swept[2]
+        relative = [(x - cx, y - cy) for x, y in positions]
+        filtered = [filter_velocity(VelocityQP(v_refs[i], relative[i],
+                                               [relative[j] for j in neighbors[i]], *limits))
+                    for i in range(n)]
+    else:
+        xy, src, dst = swept[2]
+        rel = xy - (cx, cy)
+        clipped, flagged = pass_through(v_refs, rel, src, dst, *limits)
+        filtered = [(v, False) for v in clipped]
+        ids = np.flatnonzero(flagged)
+        # a flagged robot's neighbours, ascending, are dst[lo:hi]
+        spans = zip(ids.tolist(), np.searchsorted(src, ids).tolist(),
+                    np.searchsorted(src, ids + 1).tolist())
+        relative = rel.tolist()
+        for i, lo, hi in spans:
+            filtered[i] = filter_velocity(VelocityQP(
+                v_refs[i], relative[i], [relative[j] for j in dst[lo:hi].tolist()], *limits))
+    for robot, ((vx, vy), deadlock) in zip(world.robots, filtered):
         robot.deadlock = deadlock
         robot.x += vx * dt
         robot.y += vy * dt
@@ -356,12 +447,10 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
     counts = [0] * (config.n_tasks + 1)
     for robot in world.robots:
         counts[robot.assigned_task] += 1
-    # one sweep over the post-move positions: min_dist is the separation
-    # actually executed this step, and the neighbour lists serve the
-    # next step's filter
-    moved = [(r.x, r.y) for r in world.robots]
-    neighbors, min_dist = neighbor_sweep(moved, cutoff_sq)
-    world.swept = (moved, cutoff_sq, neighbors)
+    # one pass over the post-move positions: min_dist is the separation
+    # actually executed this step, and the neighbours serve the next
+    # step's filter
+    world.swept, min_dist = _spatial_pass([(r.x, r.y) for r in world.robots], cutoff_sq)
     metrics.rows.append(dyn.metrics_row(world, counts, min_dist))
     return world
 

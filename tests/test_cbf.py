@@ -2,6 +2,7 @@
 
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from swarmgames import cbf
 from swarmgames.cbf import N_FACETS, VelocityQP, filter_velocity
+from swarmgames.sim.engine import neighbor_pairs
 
 COLONY = dict(v_max=1.0, r=0.25, R_o=30.0)
 MONITORING = dict(v_max=4.0, r=0.04, R_o=2.0 * math.sqrt(2.0), alpha_c=10.0)
@@ -245,3 +247,53 @@ def velocity_qps(draw):
 @given(velocity_qps())
 def test_filter_matches_row_building_reference(qp):
     assert filter_velocity(qp) == reference_filter(qp)
+
+
+@st.composite
+def swarms(draw):
+    """A cluster of robots somewhere from the centre to past the domain
+    edge, with references that are zero, too fast, or within a few _TOL
+    of one of the robot's rows, and a cutoff that can sit exactly on a
+    drawn pair."""
+    params = draw(st.sampled_from([COLONY, MONITORING]))
+    v_max, r, R_o = params["v_max"], params["r"], params["R_o"]
+    a, radius = draw(st.floats(0.0, 2.0 * math.pi)), draw(st.floats(0.0, 1.05 * R_o))
+    offset = st.floats(-6.0 * r, 6.0 * r)
+    pts = [(radius * math.cos(a) + draw(offset), radius * math.sin(a) + draw(offset))
+           for _ in range(draw(st.integers(0, 8)))]
+    cutoff_sq = (4.0 * r) ** 2
+    if len(pts) >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=2,
+                             unique=True))
+        cutoff_sq = (pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2
+    xy, src, dst, _ = neighbor_pairs(pts, cutoff_sq)
+    neighbors = [[pts[j] for j in dst[src == i].tolist()] for i in range(len(pts))]
+    speed = st.floats(-3.0 * v_max, 3.0 * v_max)
+    v_refs = []
+    for i, p in enumerate(pts):
+        kind = draw(st.sampled_from(["zero", "free", "row"]))
+        v_ref = (0.0, 0.0) if kind == "zero" else (draw(speed), draw(speed))
+        rows = [row for row in cbf._affine_rows(VelocityQP(v_ref, p, neighbors[i], **params))
+                if row[0] ** 2 + row[1] ** 2 > 1e-12]
+        if kind == "row" and rows:
+            ax, ay, b = draw(st.sampled_from(rows))
+            gap = draw(st.sampled_from([-2e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9]))
+            scale = (b + gap) / (ax * ax + ay * ay)
+            v_ref = (ax * scale, ay * scale)
+        v_refs.append(v_ref)
+    return params, pts, neighbors, v_refs, (xy, src, dst)
+
+
+@settings(max_examples=500, deadline=None)
+@given(swarms())
+def test_pass_through_flags_exactly_the_robots_that_build_rows(swarm):
+    params, pts, neighbors, v_refs, (xy, src, dst) = swarm
+    clipped, flagged = cbf.pass_through(v_refs, xy, src, dst, **params)
+    assert len(clipped) == len(flagged) == len(pts)
+    for i, p in enumerate(pts):
+        # filter_velocity builds the rows exactly when its inline test fails
+        with mock.patch.object(cbf, "_affine_rows", wraps=cbf._affine_rows) as rows:
+            result = filter_velocity(VelocityQP(v_refs[i], p, neighbors[i], **params))
+        assert bool(flagged[i]) == rows.called
+        if not flagged[i]:
+            assert result == (clipped[i], False)

@@ -8,6 +8,7 @@ and says why.
 
 import dataclasses
 import hashlib
+import math
 
 import pytest
 
@@ -31,6 +32,19 @@ def _crowd():
         colony=dataclasses.replace(base.colony, min_separation=0.6))
 
 
+def _crowd_removal():
+    # 180 s takes the crowd through the removal at 172.5 s
+    return dataclasses.replace(_crowd(), t_final=180.0)
+
+
+def _colony500():
+    # the crowd's density: the colony disk grows with the square root of n
+    base = _crowd()
+    return dataclasses.replace(
+        base, n_robots=500, t_final=5.0,
+        colony=dataclasses.replace(base.colony, R_i=5.0 * math.sqrt(500 / 96)))
+
+
 GOLDEN = [
     (_colony, 0, "09c2fa4f74c82a931a38dea3a7e923025ff0f2a763f2eff733227a822b1e1492"),
     (_colony, 1, "7ea48a6497876350a1add3141f7a537576a943a212ef48458e2507b6086e1527"),
@@ -39,6 +53,8 @@ GOLDEN = [
     (_monitoring, 1, "8f90d070c9224f556729c7a4983c6bd8d2549c79901b75c3f7336dda10f5402a"),
     (_monitoring, 2, "8e55a1b91eef73989ffbbd68ea11d77e34d53430cac6a14fb2e3fdf4bc88ff92"),
     (_crowd, 0, "9e4f8078b041a3fa0a6fa8216d13dcaf6e4eab51400533dfea3de9be8b503f9f"),
+    (_crowd_removal, 0, "5f6b62c67fc77366b83398325767be44d3a9a540b9687008669adae150560d56"),
+    (_colony500, 0, "e37d7824530bee3ff0daac199fd2dfc2d1568629254b0e06ecaa216fea0b2be2"),
 ]
 
 
