@@ -388,8 +388,13 @@ def _solve_modes(gamma, s, c, n0, ntask, sup, busy, p):
             tree = edges[start:]
             ks = [k] + [j for _, j, below in tree if below]
             heads = sum(n0_[i] for i, _, below in tree if not below)
-            shift = ((heads + sum(ntask_[j] - gamma_[j] * price[j] for j in ks))
-                     / sum(gamma_[j] for j in ks))
+            # left to right from 0.0: Python 3.12's sum() compensates
+            # float sums, so it rounds apart from earlier versions
+            load = mass = 0.0
+            for j in ks:
+                load += ntask_[j] - gamma_[j] * price[j]
+                mass += gamma_[j]
+            shift = (heads + load) / mass
             for j in ks:
                 price[j] += shift
 

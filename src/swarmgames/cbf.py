@@ -127,6 +127,16 @@ def _best_candidate(rows: list, vx: float, vy: float):
     return best
 
 
+def _clip(vx: float, vy: float, v_max: float) -> tuple:
+    """(vx, vy) scaled down to speed v_max if it is faster."""
+    # math.hypot, not np.hypot: the two round apart on some inputs
+    speed = math.hypot(vx, vy)
+    if speed > v_max:
+        scale = v_max / speed
+        return (vx * scale, vy * scale)
+    return (vx, vy)
+
+
 def filter_velocity(qp: VelocityQP):
     """Safe velocity closest to the reference, plus a deadlock flag.
 
@@ -135,12 +145,7 @@ def filter_velocity(qp: VelocityQP):
     then zero and the caller should log the step as a deadlock.
     """
     vx, vy = qp.v_ref
-    speed = math.hypot(vx, vy)
-    if speed > qp.v_max:
-        scale = qp.v_max / speed
-        cx, cy = vx * scale, vy * scale
-    else:
-        cx, cy = vx, vy
+    cx, cy = _clip(vx, vy, qp.v_max)
     # pass-through: test each row of _affine_rows inline, with its exact
     # arithmetic, and build the rows only if one of them is violated
     px, py = qp.position
@@ -188,15 +193,7 @@ def pass_through(v_refs, positions, src, dst, v_max, r, R_o, alpha=1.0, alpha_c=
     build the rows; an unflagged robot's filtered velocity is its
     clipped reference, with no deadlock.
     """
-    clipped = []
-    for vx, vy in v_refs:
-        # math.hypot, not np.hypot: the two round apart on some inputs
-        speed = math.hypot(vx, vy)
-        if speed > v_max:
-            scale = v_max / speed
-            clipped.append((vx * scale, vy * scale))
-        else:
-            clipped.append((vx, vy))
+    clipped = [_clip(vx, vy, v_max) for vx, vy in v_refs]
     ref = np.fromiter(chain.from_iterable(clipped), float, 2 * len(clipped)).reshape(-1, 2)
     cx, cy = ref[:, 0], ref[:, 1]
     px, py = positions[:, 0], positions[:, 1]

@@ -333,7 +333,11 @@ class ColonyDynamics:
         self.flow_motion += before - robot.energy_used
 
     def check_conservation(self, world):
-        e_sys = self.E_c + sum(r.energy_used for r in world.robots)
+        # left to right from 0.0: Python 3.12's sum() compensates float sums
+        used = 0.0
+        for r in world.robots:
+            used += r.energy_used
+        e_sys = self.E_c + used
         predicted = (self.prev_E_sys - self.flow_drain - self.flow_motion
                      + self.flow_delivery + self.flow_removal)
         residual = abs(e_sys - predicted)

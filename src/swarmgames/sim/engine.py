@@ -32,26 +32,26 @@ gives the step's `min_dist` and the next step's neighbours.
   value, and the cutoff is the same.  A run's first step, a removal
   event, or a caller that moves robots between steps gets a fresh
   pass.
-- `min_dist` is taken with `** 2`, as `min_pair_distance` and the
-  min_dist column always have, not with a product: the two can differ
-  in the last bit.  Only the neighbour pairs are evaluated; a skipped
-  pair lies at least the cutoff apart, so when no pair lies clearly
-  inside the cutoff the pass falls back to `min_pair_distance` over
-  all points.
+- `min_dist` is the square root of the smallest dx*dx + dy*dy, the
+  same square the neighbour test takes.  A skipped pair's square
+  exceeds the cutoff's, so when a neighbour pair exists the minimum
+  over the neighbour pairs is exact.  For the case with none, the
+  sweep's scans go on past the cutoff while dx*dx is below the best
+  square so far; the numpy pass calls the sweep only then.
 
-Below `_NUMPY_PAIRS` robots (every built-in default) the pass is
-`neighbor_sweep`, a Python sweep that stops each point's scan once
-dx*dx > cutoff^2, and each robot calls `filter_velocity`.  At or above
-it the pass is `neighbor_pairs` in numpy.  That sorts by x, takes each
-point's candidates from a `searchsorted` window widened by a margin,
-keeps the pairs that pass the exact test as directed pairs sorted by
-(robot, neighbour), and takes the minimum in products, then rechecks
-the pairs within a relative 1e-14 of it with `** 2`.  The filter then
-runs `cbf.pass_through` on those arrays: one batched test of every
-robot's rows at its speed-clipped reference.  Only the robots it flags
-call `filter_velocity`; the rest keep their clipped reference.  Both
-paths give the same bits; numpy's fixed cost per call outweighs the
-Python loops below about 36 robots at colony density.
+A step picks its pass once, from the robot count, and that pass serves
+both a reuse miss and the closing pass.  Below `_NUMPY_PAIRS` robots
+(every built-in default) it is `neighbor_sweep`, a Python sweep, and
+each robot calls `filter_velocity`.  At or above it the pass is
+`neighbor_pairs` in numpy.  That sorts by x, takes each point's
+candidates from a `searchsorted` window widened by a margin, and keeps
+the pairs that pass the exact test as directed pairs sorted by (robot,
+neighbour).  The filter then runs `cbf.pass_through` on those arrays:
+one batched test of every robot's rows at its speed-clipped reference.
+Only the robots it flags call `filter_velocity`; the rest keep their
+clipped reference.  Both paths give the same bits; numpy's fixed cost
+per call outweighs the Python loops below about 36 robots at colony
+density.
 
 An AllocationError ends a run as ALLOCATION_FAILED (`run`), with the
 steps completed before it kept in the metrics.
@@ -113,7 +113,6 @@ __all__ = [
     "toward",
     "neighbor_sweep",
     "neighbor_pairs",
-    "min_pair_distance",
     "build_world",
     "step",
     "run",
@@ -123,8 +122,6 @@ IDLE_AT_BASE = "IdleAtBase"
 DEADLOCKED = "Deadlocked"
 ALLOCATION_FAILED = "AllocationError"
 
-# a squared distance below cutoff_sq * _INSIDE is clearly inside the cutoff
-_INSIDE = 1.0 - 1e-9
 # robots at or above which a step's spatial pass and filter run in numpy
 _NUMPY_PAIRS = 40
 
@@ -220,10 +217,10 @@ def neighbor_sweep(points: list, cutoff_sq: float) -> tuple[list, float]:
 
     A pair is a neighbour pair when dx*dx + dy*dy <= cutoff_sq, and each
     list is in ascending index order, the order an all-pairs loop would
-    give.  The distance equals `min_pair_distance(points)`: the sweep
-    takes the minimum over the neighbour pairs with its `** 2`
-    expression, and falls back to it when no pair lies clearly inside
-    the cutoff, since the pairs the sweep skips may then be the closest.
+    give.  The distance is the square root of the smallest dx*dx + dy*dy
+    over all pairs, inf below two points.  A point's scan stops once
+    dx*dx exceeds cutoff_sq and reaches the best square so far: no
+    later point in x order can then be a neighbour or a closer pair.
     """
     n = len(points)
     order = sorted(range(n), key=points.__getitem__)
@@ -237,22 +234,18 @@ def neighbor_sweep(points: list, cutoff_sq: float) -> tuple[list, float]:
             xj, yj = points[j]
             dx = xi - xj
             dxx = dx * dx
-            if dxx > cutoff_sq:
+            if dxx > cutoff_sq and dxx >= best:
                 break
             dy = yi - yj
-            if dxx + dy * dy <= cutoff_sq:
+            dd = dxx + dy * dy
+            if dd <= cutoff_sq:
                 lists[i].append(j)
                 lists[j].append(i)
-                dd = dx ** 2 + dy ** 2
-                if dd < best:
-                    best = dd
+            if dd < best:
+                best = dd
     for nbrs in lists:
         nbrs.sort()
-    # a skipped pair has dx*dx > cutoff_sq, and dx**2 is within an ulp of
-    # that product, so a minimum this far inside the cutoff beats it
-    if best < cutoff_sq * _INSIDE:
-        return lists, math.sqrt(best)
-    return lists, min_pair_distance(points)
+    return lists, math.sqrt(best)
 
 
 def neighbor_pairs(points: list, cutoff_sq: float) -> tuple:
@@ -289,50 +282,11 @@ def neighbor_pairs(points: list, cutoff_sq: float) -> tuple:
     dst = np.concatenate((j, i))
     by = np.argsort(src * n + dst, kind="stable")
     src, dst = src[by], dst[by]
-    best = math.inf
+    # a pair left out has dx*dx + dy*dy > cutoff_sq, farther than any
+    # neighbour pair; with none, the sweep's scan finds the closest
     if len(dd):
-        # the `** 2` minimum is within an ulp or two of the product one;
-        # the absolute term covers squares that round to subnormals
-        tight = np.flatnonzero(dd <= dd.min() * (1.0 + 1e-14) + 1e-300)
-        for u, v in zip(i[tight].tolist(), j[tight].tolist()):
-            xu, yu = points[u]
-            xv, yv = points[v]
-            best = min(best, (xu - xv) ** 2 + (yu - yv) ** 2)
-    # the same fallback as neighbor_sweep's, for the same reason
-    if best < cutoff_sq * _INSIDE:
-        return xy, src, dst, math.sqrt(best)
-    return xy, src, dst, min_pair_distance(points)
-
-
-def min_pair_distance(points: list) -> float:
-    """Smallest distance between two of the points; inf below two points."""
-    n = len(points)
-    if n < 2:
-        return math.inf
-    ordered = sorted(points)
-    best = math.inf
-    for a in range(n):
-        xi, yi = ordered[a]
-        for b in range(a + 1, n):
-            xj, yj = ordered[b]
-            # `** 2`, not a product: the two can differ in the last bit,
-            # and the min_dist column has always been computed with pow
-            dxx = (xi - xj) ** 2
-            if dxx >= best:
-                break
-            dd = dxx + (yi - yj) ** 2
-            if dd < best:
-                best = dd
-    return math.sqrt(best)
-
-
-def _spatial_pass(points: list, cutoff_sq: float) -> tuple:
-    """(swept record, min_dist): neighbour lists below the gate, pair arrays at or above it."""
-    if len(points) < _NUMPY_PAIRS:
-        neighbors, min_dist = neighbor_sweep(points, cutoff_sq)
-    else:
-        *neighbors, min_dist = neighbor_pairs(points, cutoff_sq)
-    return (points, cutoff_sq, neighbors), min_dist
+        return xy, src, dst, math.sqrt(dd.min())
+    return xy, src, dst, neighbor_sweep(points, cutoff_sq)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +344,8 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
     v_refs = [dyn.behave(world, robot, dt) for robot in world.robots]
 
     n = len(world.robots)
+    small = n < _NUMPY_PAIRS        # every built-in default
+    spatial_pass = neighbor_sweep if small else neighbor_pairs
     positions = [(r.x, r.y) for r in world.robots]
     # 4r is enough at colony speeds; the second term keeps a closing
     # pair from crossing the whole cutoff in one step at higher v_max
@@ -399,12 +355,13 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
     # removal or an outside change moved them since
     swept = world.swept
     if swept is None or swept[1] != cutoff_sq or swept[0] != positions:
-        swept = _spatial_pass(positions, cutoff_sq)[0]
+        *found, _ = spatial_pass(positions, cutoff_sq)
+        swept = (positions, cutoff_sq, found)
 
     cx, cy = dyn.domain_center
     limits = (config.v_max, config.r, dyn.domain_radius, config.alpha, config.alpha_c)
-    if n < _NUMPY_PAIRS:
-        neighbors = swept[2]
+    if small:
+        neighbors, = swept[2]
         relative = [(x - cx, y - cy) for x, y in positions]
         filtered = [filter_velocity(VelocityQP(v_refs[i], relative[i],
                                                [relative[j] for j in neighbors[i]], *limits))
@@ -450,7 +407,9 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
     # one pass over the post-move positions: min_dist is the separation
     # actually executed this step, and the neighbours serve the next
     # step's filter
-    world.swept, min_dist = _spatial_pass([(r.x, r.y) for r in world.robots], cutoff_sq)
+    positions = [(r.x, r.y) for r in world.robots]
+    *found, min_dist = spatial_pass(positions, cutoff_sq)
+    world.swept = (positions, cutoff_sq, found)
     metrics.rows.append(dyn.metrics_row(world, counts, min_dist))
     return world
 

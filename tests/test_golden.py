@@ -45,6 +45,15 @@ def _colony500():
         colony=dataclasses.replace(base.colony, R_i=5.0 * math.sqrt(500 / 96)))
 
 
+def _sparse48():
+    # robots placed 1.5 m apart: on 89 of its 601 numpy passes no pair is
+    # within the cutoff, so min_dist comes from the sweep's scan past it
+    base = colony_default()
+    return dataclasses.replace(
+        base, n_robots=48, t_final=60.0,
+        colony=dataclasses.replace(base.colony, min_separation=1.5, R_i=12.0))
+
+
 GOLDEN = [
     (_colony, 0, "09c2fa4f74c82a931a38dea3a7e923025ff0f2a763f2eff733227a822b1e1492"),
     (_colony, 1, "7ea48a6497876350a1add3141f7a537576a943a212ef48458e2507b6086e1527"),
@@ -55,6 +64,7 @@ GOLDEN = [
     (_crowd, 0, "9e4f8078b041a3fa0a6fa8216d13dcaf6e4eab51400533dfea3de9be8b503f9f"),
     (_crowd_removal, 0, "5f6b62c67fc77366b83398325767be44d3a9a540b9687008669adae150560d56"),
     (_colony500, 0, "e37d7824530bee3ff0daac199fd2dfc2d1568629254b0e06ecaa216fea0b2be2"),
+    (_sparse48, 0, "2d0eab8dbd0ab12c394ce21a74cde72ceab5ec73eb04c5a444d87b656b528e97"),
 ]
 
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from swarmgames.scenarios import Event, colony_default, monitoring_default
 from swarmgames.sim import build_world, engine, run, step
-from swarmgames.sim.engine import min_pair_distance, neighbor_pairs, neighbor_sweep
+from swarmgames.sim.engine import neighbor_pairs, neighbor_sweep
 
 # lattice values repeat x often and give exact squared distances;
 # the free floats exercise rounding
@@ -54,10 +54,14 @@ def brute_neighbors(pts, cutoff_sq):
 
 
 def brute_min_dist(pts):
-    if len(pts) < 2:
-        return math.inf
-    return math.sqrt(min((pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2
-                         for i in range(len(pts)) for j in range(i + 1, len(pts))))
+    # the square the neighbour test takes: dx*dx + dy*dy, not dx**2 + dy**2
+    best = math.inf
+    for i, (xi, yi) in enumerate(pts):
+        for xj, yj in pts[i + 1:]:
+            dx = xi - xj
+            dy = yi - yj
+            best = min(best, dx * dx + dy * dy)
+    return math.sqrt(best)
 
 
 @settings(max_examples=300, deadline=None)
@@ -76,24 +80,19 @@ def test_neighbor_indices_match_all_pairs(data):
     assert neighbor_sweep(pts, cutoff_sq)[0] == brute_neighbors(pts, cutoff_sq)
 
 
-@settings(max_examples=300, deadline=None)
-@given(clouds())
-def test_min_pair_distance_matches_all_pairs(pts):
-    assert min_pair_distance(pts) == brute_min_dist(pts)
-
-
 def test_sweeps_on_hand_cases():
     # (0,0)-(1,0) and (0,0)-(0,1) sit exactly on a unit cutoff
     pts = [(1.0, 0.0), (0.0, 0.0), (0.0, 1.0), (0.0, 0.0)]
     assert neighbor_sweep(pts, 1.0) == ([[1, 3], [0, 2, 3], [1, 3], [0, 1, 2]], 0.0)
-    assert min_pair_distance(pts) == 0.0
+    assert neighbor_sweep(pts, 0.0)[1] == 0.0
     assert neighbor_sweep([], 1.0) == ([], math.inf)
-    assert min_pair_distance([(3.0, 4.0)]) == math.inf
-    assert min_pair_distance([(0.0, 0.0), (3.0, 4.0)]) == 5.0
+    assert neighbor_sweep([(3.0, 4.0)], 1.0)[1] == math.inf
+    assert neighbor_sweep([(0.0, 0.0), (3.0, 4.0)], 1.0)[1] == 5.0
 
 
 # With glibc's pow, dx**2 + dy**2 and dx*dx + dy*dy round apart for this
-# offset, and so do their square roots: min_dist must use the `** 2` form.
+# offset, and so do their square roots: this pair pins min_dist to the
+# product form, the square the neighbour test takes.
 POW_PAIR = [(0.0, 0.0), (0.36850489092832744, 0.2510298843863561)]
 
 
@@ -102,6 +101,11 @@ POW_PAIR = [(0.0, 0.0), (0.36850489092832744, 0.2510298843863561)]
 @example(POW_PAIR, 1.0)
 @example(POW_PAIR + [(3.0, 3.0)], 0.1)                  # no pair within the cutoff
 @example([(0.0, 0.0), (1.0, 0.0), (5.0, 0.0)], 1.0)     # closest pair exactly at it
+@example(POW_PAIR, 0.0)                                  # cutoff 0
+# no pair within the cutoff, and the closest pair sits far apart in x
+@example([(0.0, 0.0), (0.5, 5.0), (3.0, 0.0), (6.5, 5.0)], 1.0)
+# isolated points at the left end of the x order, ahead of a close pair
+@example([(-4.0, 2.0), (-3.0, -2.0), (2.0, 0.0), (2.1, 0.0)], 0.25)
 def test_neighbor_sweep_matches_all_pairs(pts, cutoff_sq):
     lists, min_dist = neighbor_sweep(pts, cutoff_sq)
     assert lists == brute_neighbors(pts, cutoff_sq)
