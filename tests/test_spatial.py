@@ -80,6 +80,15 @@ def test_neighbor_indices_match_all_pairs(data):
     assert neighbor_sweep(pts, cutoff_sq)[0] == brute_neighbors(pts, cutoff_sq)
 
 
+@settings(max_examples=300, deadline=None)
+@given(clouds(), st.sampled_from([0.0, 0.01, 1.0, 100.0]))
+def test_min_pair_distance_matches_all_pairs(pts, cutoff_sq):
+    # the smallest pair distance holds whatever the cutoff: at 0 or 0.01
+    # most clouds have no neighbour pair, at 100 every pair is one
+    assert neighbor_sweep(pts, cutoff_sq)[1] == brute_min_dist(pts)
+    assert neighbor_pairs(pts, cutoff_sq)[3] == brute_min_dist(pts)
+
+
 def test_sweeps_on_hand_cases():
     # (0,0)-(1,0) and (0,0)-(0,1) sit exactly on a unit cutoff
     pts = [(1.0, 0.0), (0.0, 0.0), (0.0, 1.0), (0.0, 0.0)]
